@@ -1,7 +1,9 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <numeric>
 
 #include "common/log.hpp"
 
@@ -108,6 +110,26 @@ const std::string& Trace::region_name(std::int32_t id) const {
   return region_names_[static_cast<std::size_t>(id)];
 }
 
+namespace {
+
+/// One Send or Recv of the message join.  Receives store the complement of
+/// their rank (~rank < 0), so the endpoint fits in 16 bytes; a pair's bytes
+/// and tag are read from its send event once it completes.  With the two
+/// 4-byte permutation slots of the sort, the join needs 24 B per endpoint.
+struct Endpoint {
+  std::int64_t msg_id;
+  Rank rank;
+  std::uint32_t index;
+};
+
+/// Radix digit width of the join's LSD sort: 2048 buckets per pass, so a
+/// dense id range of up to ~4M messages needs two passes and any int64 range
+/// at most six.
+constexpr unsigned kDigitBits = 11;
+constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+
+}  // namespace
+
 std::vector<MessageRecord> Trace::match_messages() const {
   // msg_id keys the join.  Matching is online over rank-major order, the
   // same rule the streamed scanner (scan_clock_condition) applies so the two
@@ -117,42 +139,108 @@ std::vector<MessageRecord> Trace::match_messages() const {
   // endpoint for an already-retired id opens a fresh entry.  Well-formed
   // traces have unique ids, so only malformed inputs can tell this from a
   // whole-trace join.
-  std::map<std::int64_t, MessageRecord> open;
-  std::vector<std::pair<std::int64_t, MessageRecord>> done;
-  for (Rank r = 0; r < ranks(); ++r) {
-    const auto& ev = events(r);
-    for (std::uint32_t i = 0; i < ev.size(); ++i) {
-      const Event& e = ev[i];
-      if (e.type == EventType::Send) {
-        auto& m = open[e.msg_id];
-        m.send = {r, i};
-        m.bytes = e.bytes;
-        m.tag = e.tag;
-        if (m.recv.proc >= 0) {
-          done.emplace_back(e.msg_id, m);
-          open.erase(e.msg_id);
-        }
-      } else if (e.type == EventType::Recv) {
-        auto& m = open[e.msg_id];
-        m.recv = {r, i};
-        if (m.send.proc >= 0) {
-          done.emplace_back(e.msg_id, m);
-          open.erase(e.msg_id);
-        }
-      }
+  //
+  // An id's state depends only on its own endpoints, in rank-major order.
+  // So the endpoints are collected in that order, stably radix-sorted by id,
+  // and the online rule is replayed per id group.  That yields ascending ids,
+  // with a reused id's pairs in completion order.
+  std::size_t sends = 0;
+  std::size_t recvs = 0;
+  for (const auto& ev : events_) {
+    for (const Event& e : ev) {
+      sends += e.type == EventType::Send;
+      recvs += e.type == EventType::Recv;
     }
   }
-  if (!open.empty()) {
-    // Sends whose receive fell outside the tracing window (or vice versa).
-    CS_LOG_DEBUG << open.size() << " half-matched messages dropped (tracing window edges)";
+  const std::size_t n = sends + recvs;
+  CS_REQUIRE(n <= std::numeric_limits<std::uint32_t>::max(),
+             "too many message endpoints to join");
+
+  std::vector<Endpoint> eps;
+  eps.reserve(n);
+  std::int64_t min_id = std::numeric_limits<std::int64_t>::max();
+  std::int64_t max_id = std::numeric_limits<std::int64_t>::min();
+  for (Rank r = 0; r < ranks(); ++r) {
+    const auto& ev = events_[static_cast<std::size_t>(r)];
+    for (std::uint32_t i = 0; i < ev.size(); ++i) {
+      const Event& e = ev[i];
+      if (e.type != EventType::Send && e.type != EventType::Recv) continue;
+      eps.push_back({e.msg_id, e.type == EventType::Send ? r : ~r, i});
+      min_id = std::min(min_id, e.msg_id);
+      max_id = std::max(max_id, e.msg_id);
+    }
   }
-  // Ascending msg_id, as the whole-trace join returned (stable, so the rare
-  // duplicate-id repeats stay in completion order).
-  std::stable_sort(done.begin(), done.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+
+  // Sort on msg_id - min_id (wrapping unsigned arithmetic, so any int64
+  // range is exact) with only the digit passes that range needs.
+  const auto base = static_cast<std::uint64_t>(min_id);
+  const auto key = [base](const Endpoint& e) {
+    return static_cast<std::uint64_t>(e.msg_id) - base;
+  };
+  unsigned passes = 0;
+  for (std::uint64_t range = n > 0 ? static_cast<std::uint64_t>(max_id) - base : 0; range != 0;
+       range >>= kDigitBits) {
+    ++passes;
+  }
+  std::vector<std::uint32_t> offset(passes * kBuckets, 0);
+  for (const Endpoint& e : eps) {
+    const std::uint64_t k = key(e);
+    for (unsigned p = 0; p < passes; ++p) {
+      ++offset[p * kBuckets + ((k >> (p * kDigitBits)) & (kBuckets - 1))];
+    }
+  }
+  for (unsigned p = 0; p < passes; ++p) {
+    std::uint32_t sum = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      const std::uint32_t c = offset[p * kBuckets + b];
+      offset[p * kBuckets + b] = sum;
+      sum += c;
+    }
+  }
+  // `order` permutes eps; the first pass reads eps in collection order.
+  std::vector<std::uint32_t> order(n);
+  if (passes == 0) std::iota(order.begin(), order.end(), 0u);
+  std::vector<std::uint32_t> scratch(passes > 1 ? n : 0);
+  for (unsigned p = 0; p < passes; ++p) {
+    std::uint32_t* off = offset.data() + p * kBuckets;
+    const unsigned shift = p * kDigitBits;
+    const auto digit = [&](std::uint32_t o) { return (key(eps[o]) >> shift) & (kBuckets - 1); };
+    if (p == 0) {
+      for (std::uint32_t o = 0; o < n; ++o) order[off[digit(o)]++] = o;
+    } else {
+      for (const std::uint32_t o : order) scratch[off[digit(o)]++] = o;
+      order.swap(scratch);
+    }
+  }
+
+  // Replay the online rule per id group; `m` is the group's half-open entry.
   std::vector<MessageRecord> out;
-  out.reserve(done.size());
-  for (auto& [id, m] : done) out.push_back(m);
+  out.reserve(std::min(sends, recvs));
+  std::size_t dropped = 0;
+  for (std::size_t g = 0; g < n;) {
+    const std::int64_t id = eps[order[g]].msg_id;
+    MessageRecord m;
+    for (; g < n && eps[order[g]].msg_id == id; ++g) {
+      const Endpoint& e = eps[order[g]];
+      if (e.rank >= 0) {
+        m.send = {e.rank, e.index};
+      } else {
+        m.recv = {~e.rank, e.index};
+      }
+      if (m.send.proc >= 0 && m.recv.proc >= 0) {
+        const Event& s = events_[static_cast<std::size_t>(m.send.proc)][m.send.index];
+        m.bytes = s.bytes;
+        m.tag = s.tag;
+        out.push_back(m);
+        m = {};
+      }
+    }
+    dropped += m.send.proc >= 0 || m.recv.proc >= 0;
+  }
+  if (dropped > 0) {
+    // Sends whose receive fell outside the tracing window (or vice versa).
+    CS_LOG_DEBUG << dropped << " half-matched messages dropped (tracing window edges)";
+  }
   return out;
 }
 

@@ -61,8 +61,14 @@ class Trace {
   const std::string& region_name(std::int32_t id) const;
   const std::vector<std::string>& regions() const { return region_names_; }
 
-  /// Matches Send/Recv pairs via msg_id.  Sends without a matched receive
-  /// (none occur in well-formed runs) are dropped with a warning count.
+  /// Matches Send/Recv pairs via msg_id, online over rank-major order: an id
+  /// holds at most one half-open entry, a duplicate endpoint overwrites it
+  /// while half-open (last wins), the pair retires when its second endpoint
+  /// arrives, and a later endpoint opens a fresh entry.  Endpoints still
+  /// half-open at the end (none occur in well-formed runs) are dropped and
+  /// only logged at debug level.  Output is in ascending msg_id, a reused
+  /// id's pairs in completion order.  O(endpoints) time and memory: a radix
+  /// sort on msg_id, no per-endpoint allocation.
   std::vector<MessageRecord> match_messages() const;
 
   /// Groups CollBegin/CollEnd events into instances via coll_id.

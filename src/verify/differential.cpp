@@ -1,9 +1,13 @@
 #include "verify/differential.hpp"
 
+#include <stdlib.h>
+
 #include <bit>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <sstream>
 
 #include "analysis/clock_condition.hpp"
@@ -22,6 +26,7 @@
 #include "sync/omp_clc.hpp"
 #include "trace/logical_messages.hpp"
 #include "trace/stream_io.hpp"
+#include "trace/trace_io_error.hpp"
 
 namespace chronosync::verify {
 
@@ -267,6 +272,30 @@ void compare_reports(const char* what, const ClockConditionReport& a,
              static_cast<double>(b.message_events));
 }
 
+/// A private mkdtemp directory under `parent`, removed with its contents
+/// when the guard leaves scope, so concurrent cross-checks sharing one
+/// work_dir never touch each other's files.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& parent) : path_(parent + "/windowed_clc_XXXXXX") {
+    if (::mkdtemp(path_.data()) == nullptr) {
+      throw TraceIoError(TraceIoErrorKind::Io, "cannot create a scratch directory under " +
+                                                   parent + ": " + std::strerror(errno));
+    }
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 }  // namespace
 
 std::size_t cross_check_scans(const Trace& trace, const ReplaySchedule& schedule,
@@ -289,8 +318,9 @@ std::size_t cross_check_windowed_clc(const Trace& trace, const std::string& work
                                      const StreamClcOptions& options,
                                      std::vector<std::string>& failures) {
   CS_SPAN("verify.cross_check_windowed_clc");
-  const std::string in_path = work_dir + "/windowed_clc_in.cstr";
-  const std::string out_path = work_dir + "/windowed_clc_out.cstr";
+  const ScratchDir scratch(work_dir);
+  const std::string in_path = scratch.path() + "/in.cstr";
+  const std::string out_path = scratch.path() + "/out.cstr";
   write_trace_v2_file(trace, in_path);
   const StreamClcStats stats = clc_stream_file(in_path, out_path, options);
 
@@ -311,8 +341,6 @@ std::size_t cross_check_windowed_clc(const Trace& trace, const std::string& work
       controlled_logical_clock(trace, schedule, TimestampArray::from_local(trace), options.clc);
 
   const Trace streamed = read_trace_v2_file(out_path);
-  std::remove(in_path.c_str());
-  std::remove(out_path.c_str());
 
   if (streamed.ranks() != trace.ranks()) {
     std::ostringstream os;

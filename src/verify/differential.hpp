@@ -103,13 +103,15 @@ std::size_t cross_check_scans(const Trace& trace, const ReplaySchedule& schedule
                               std::vector<std::string>& failures);
 
 /// Cross-checks the out-of-core windowed streaming CLC against the in-memory
-/// one on the same trace: serializes the trace as a v2 file under `work_dir`,
+/// one on the same trace: serializes the trace as a v2 file in a private
+/// mkdtemp directory under `work_dir` (so concurrent calls may share it),
 /// runs clc_stream_file on it, and demands a *bit-identical* corrected trace
 /// and jump statistics whenever the streaming run reports zero divergences
 /// (ramp_clamped == horizon_dropped == forced == 0) — which the fixture's
 /// options must ensure.  true_ts and all non-timestamp fields must survive
 /// the round-trip untouched.  Appends contract breaches to `failures` and
-/// returns the number of comparisons made.  Temporary files are removed.
+/// returns the number of comparisons made.  The private directory and
+/// everything in it are removed, also when the check throws.
 std::size_t cross_check_windowed_clc(const Trace& trace, const std::string& work_dir,
                                      const StreamClcOptions& options,
                                      std::vector<std::string>& failures);

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
+#include <exception>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -64,6 +68,46 @@ TEST(WindowedClc, CollectiveHeavyWorkloadMatchesInMemory) {
   no_ba.clc.backward_amortization = false;
   no_ba.emit_batch = 16;
   for (const std::string& f : check(trace, no_ba)) ADD_FAILURE() << f;
+}
+
+TEST(WindowedClc, ConcurrentCallsShareOneWorkDir) {
+  // Two cross-checks at once in one work_dir, as concurrent test processes
+  // do: each must get its own scratch files, and both must clean up.
+  std::string dir = testing::TempDir() + "/windowed_clc_race_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+
+  SweepConfig cfg;
+  cfg.rounds = 40;
+  JobConfig job;
+  job.placement = pinning::inter_node(clusters::xeon_rwth(), 4);
+  job.timer = timer_specs::intel_tsc();
+  job.seed = 29;
+  const Trace trace = run_sweep(cfg, std::move(job)).trace;
+  StreamClcOptions opt;
+  opt.emit_batch = 8;
+  opt.backward_window = 1e3;
+
+  std::vector<std::string> failures[2];
+  std::size_t comparisons[2] = {0, 0};
+  std::thread workers[2];
+  for (int k = 0; k < 2; ++k) {
+    workers[k] = std::thread([&, k] {
+      try {
+        for (int rep = 0; rep < 20; ++rep) {
+          comparisons[k] += verify::cross_check_windowed_clc(trace, dir, opt, failures[k]);
+        }
+      } catch (const std::exception& e) {
+        failures[k].push_back(e.what());
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_GT(comparisons[k], 20u);
+    for (const std::string& f : failures[k]) ADD_FAILURE() << "thread " << k << ": " << f;
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir)) << "scratch files left in " << dir;
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
