@@ -1,5 +1,6 @@
 #include "trace/stream_io.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -29,6 +30,10 @@ constexpr std::uint32_t kMaxChunkPayload = 1u << 26;  // 64 MiB
 /// Smallest possible encoded event: type byte + 12 one-byte varints.
 constexpr std::uint64_t kMinEncodedEvent = 13;
 
+/// Longest event the writer emits: the type and coll bytes, four 64-bit
+/// deltas of up to 10 bytes and seven 32-bit fields of up to 5 bytes.
+constexpr std::size_t kMaxEncodedEvent = 2 + 4 * 10 + 7 * 5;  // 77
+
 constexpr std::uint8_t kMaxEventType = static_cast<std::uint8_t>(EventType::BarrierExit);
 constexpr std::uint8_t kMaxCollKind = static_cast<std::uint8_t>(CollectiveKind::Alltoall);
 
@@ -48,25 +53,35 @@ void put_f64(std::vector<std::uint8_t>& out, double v) {
   throw TraceIoError(TraceIoErrorKind::Malformed, msg);
 }
 
+// Error reports kept out of line, off the decoders' hot paths.
+[[noreturn, gnu::cold, gnu::noinline]] void bad_field(const char* what, const char* problem) {
+  malformed(std::string(what) + ": " + problem);
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] void bad_enum(const char* what, std::uint8_t value) {
+  malformed(std::string("invalid ") + what + " " + std::to_string(value));
+}
+
+std::int32_t checked_i32(std::int64_t v, const char* what) {
+  if (v < std::numeric_limits<std::int32_t>::min() ||
+      v > std::numeric_limits<std::int32_t>::max()) {
+    bad_field(what, "value out of 32-bit range");
+  }
+  return static_cast<std::int32_t>(v);
+}
+
 std::uint64_t get_uv(const std::uint8_t** p, const std::uint8_t* end, const char* what) {
   std::uint64_t v = 0;
-  if (!get_uvarint(p, end, v)) malformed(std::string(what) + ": bad varint");
+  if (!get_uvarint(p, end, v)) bad_field(what, "bad varint");
   return v;
 }
 
 std::int64_t get_sv(const std::uint8_t** p, const std::uint8_t* end, const char* what) {
-  std::int64_t v = 0;
-  if (!get_svarint(p, end, v)) malformed(std::string(what) + ": bad varint");
-  return v;
+  return zigzag_decode(get_uv(p, end, what));
 }
 
 std::int32_t get_sv32(const std::uint8_t** p, const std::uint8_t* end, const char* what) {
-  const std::int64_t v = get_sv(p, end, what);
-  if (v < std::numeric_limits<std::int32_t>::min() ||
-      v > std::numeric_limits<std::int32_t>::max()) {
-    malformed(std::string(what) + ": value out of 32-bit range");
-  }
-  return static_cast<std::int32_t>(v);
+  return checked_i32(get_sv(p, end, what), what);
 }
 
 std::uint64_t get_raw64(const std::uint8_t** p, const std::uint8_t* end, const char* what) {
@@ -77,44 +92,70 @@ std::uint64_t get_raw64(const std::uint8_t** p, const std::uint8_t* end, const c
   return v;
 }
 
+// Event-field decoders over a PayloadBuffer: no end bound, see its
+// slack-padding invariant.  They run eleven times per event, so they are
+// forced inline to keep the cursor in a register; left to itself GCC calls
+// them, which makes decoding ~1.6x slower.
+[[gnu::always_inline]] inline std::uint64_t get_uv_padded(const std::uint8_t*& p,
+                                                          const char* what) {
+  std::uint64_t v = 0;
+  if (!get_uvarint_padded(&p, v)) bad_field(what, "bad varint");
+  return v;
+}
+
+[[gnu::always_inline]] inline std::int64_t get_sv_padded(const std::uint8_t*& p,
+                                                         const char* what) {
+  return zigzag_decode(get_uv_padded(p, what));
+}
+
+[[gnu::always_inline]] inline std::int32_t get_sv32_padded(const std::uint8_t*& p,
+                                                           const char* what) {
+  return checked_i32(get_sv_padded(p, what), what);
+}
+
 /// Decodes `count` delta-encoded events from [p, end) — the payload after the
-/// chunk head — into `out`.  Shared by the sequential TraceReader and the
-/// random-access ChunkReader so both enforce identical validation.
+/// chunk head, inside a PayloadBuffer — and appends them to `out`.  Shared by
+/// the sequential TraceReader and the random-access ChunkReader so both
+/// enforce identical validation.  The caller has checked
+/// count <= (end - p) / kMinEncodedEvent, which bounds the reservation.
 void decode_events(const std::uint8_t* p, const std::uint8_t* end, std::uint64_t count,
                    std::vector<Event>& out) {
-  out.clear();
-  out.reserve(static_cast<std::size_t>(count));
+  const auto n = static_cast<std::size_t>(count);
+  if (out.capacity() - out.size() < n) {
+    out.reserve(std::max(out.size() + n, 2 * out.capacity()));
+  }
+  // Deltas accumulate as raw bits, so a forged delta wraps instead of
+  // overflowing.
   std::uint64_t prev_local = 0;
   std::uint64_t prev_true = 0;
-  std::int64_t prev_msg = 0;
-  std::int64_t prev_coll = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (p == end) malformed("event chunk ends mid-event");
+  std::uint64_t prev_msg = 0;
+  std::uint64_t prev_coll = 0;
+  for (std::size_t i = 0; i < n; ++i) {
     Event e;
     const std::uint8_t type = *p++;
-    if (type > kMaxEventType) malformed("invalid event type " + std::to_string(type));
+    if (type > kMaxEventType) bad_enum("event type", type);
     e.type = static_cast<EventType>(type);
-    prev_local += static_cast<std::uint64_t>(get_sv(&p, end, "event local_ts"));
-    prev_true += static_cast<std::uint64_t>(get_sv(&p, end, "event true_ts"));
+    prev_local += static_cast<std::uint64_t>(get_sv_padded(p, "event local_ts"));
+    prev_true += static_cast<std::uint64_t>(get_sv_padded(p, "event true_ts"));
     e.local_ts = std::bit_cast<double>(prev_local);
     e.true_ts = std::bit_cast<double>(prev_true);
-    e.region = get_sv32(&p, end, "event region");
-    e.peer = get_sv32(&p, end, "event peer");
-    e.tag = get_sv32(&p, end, "event tag");
-    const std::uint64_t bytes = get_uv(&p, end, "event bytes");
+    e.region = get_sv32_padded(p, "event region");
+    e.peer = get_sv32_padded(p, "event peer");
+    e.tag = get_sv32_padded(p, "event tag");
+    const std::uint64_t bytes = get_uv_padded(p, "event bytes");
     if (bytes > std::numeric_limits<std::uint32_t>::max()) malformed("event bytes out of range");
     e.bytes = static_cast<std::uint32_t>(bytes);
-    prev_msg += get_sv(&p, end, "event msg_id");
-    e.msg_id = prev_msg;
-    if (p == end) malformed("event chunk ends mid-event");
+    prev_msg += static_cast<std::uint64_t>(get_sv_padded(p, "event msg_id"));
+    e.msg_id = static_cast<std::int64_t>(prev_msg);
     const std::uint8_t coll = *p++;
-    if (coll > kMaxCollKind) malformed("invalid collective kind " + std::to_string(coll));
+    if (coll > kMaxCollKind) bad_enum("collective kind", coll);
     e.coll = static_cast<CollectiveKind>(coll);
-    prev_coll += get_sv(&p, end, "event coll_id");
-    e.coll_id = prev_coll;
-    e.root = get_sv32(&p, end, "event root");
-    e.omp_instance = get_sv32(&p, end, "event omp_instance");
-    e.thread = get_sv32(&p, end, "event thread");
+    prev_coll += static_cast<std::uint64_t>(get_sv_padded(p, "event coll_id"));
+    e.coll_id = static_cast<std::int64_t>(prev_coll);
+    e.root = get_sv32_padded(p, "event root");
+    e.omp_instance = get_sv32_padded(p, "event omp_instance");
+    e.thread = get_sv32_padded(p, "event thread");
+    if (p > end) malformed("event chunk ends mid-event");
     out.push_back(e);
   }
   if (p != end) malformed("trailing bytes in event chunk");
@@ -179,6 +220,15 @@ TraceMeta TraceMeta::of(const Trace& trace) {
   return m;
 }
 
+// -- PayloadBuffer ------------------------------------------------------------
+
+std::uint8_t* PayloadBuffer::resize(std::size_t len) {
+  if (buf_.size() < len + kDecodeSlack) buf_.resize(len + kDecodeSlack);
+  std::memset(buf_.data() + len, 0, kDecodeSlack);
+  len_ = len;
+  return buf_.data();
+}
+
 // -- TraceWriter --------------------------------------------------------------
 
 TraceWriter::TraceWriter(std::ostream& out, TraceMeta meta, std::size_t events_per_chunk)
@@ -231,22 +281,31 @@ void TraceWriter::append(Rank rank, const Event& e) {
   const auto coll = static_cast<std::uint8_t>(e.coll);
   CS_REQUIRE(type <= kMaxEventType && coll <= kMaxCollKind, "event with invalid enum value");
 
-  const std::uint64_t local_bits = std::bit_cast<std::uint64_t>(e.local_ts);
-  const std::uint64_t true_bits = std::bit_cast<std::uint64_t>(e.true_ts);
-  body_.push_back(type);
-  put_svarint(body_, static_cast<std::int64_t>(local_bits - prev_.local_bits));
-  put_svarint(body_, static_cast<std::int64_t>(true_bits - prev_.true_bits));
-  put_svarint(body_, e.region);
-  put_svarint(body_, e.peer);
-  put_svarint(body_, e.tag);
-  put_uvarint(body_, e.bytes);
-  put_svarint(body_, e.msg_id - prev_.msg_id);
-  body_.push_back(coll);
-  put_svarint(body_, e.coll_id - prev_.coll_id);
-  put_svarint(body_, e.root);
-  put_svarint(body_, e.omp_instance);
-  put_svarint(body_, e.thread);
-  prev_ = {local_bits, true_bits, e.msg_id, e.coll_id};
+  if (body_.size() - body_len_ < kMaxEncodedEvent) {
+    body_.resize(std::max(2 * body_.size(), body_len_ + kMaxEncodedEvent));
+  }
+  const DeltaState cur{std::bit_cast<std::uint64_t>(e.local_ts),
+                       std::bit_cast<std::uint64_t>(e.true_ts),
+                       static_cast<std::uint64_t>(e.msg_id), static_cast<std::uint64_t>(e.coll_id)};
+  const auto delta = [](std::uint64_t now, std::uint64_t before) {
+    return static_cast<std::int64_t>(now - before);
+  };
+  std::uint8_t* p = body_.data() + body_len_;
+  *p++ = type;
+  p = put_svarint(p, delta(cur.local_bits, prev_.local_bits));
+  p = put_svarint(p, delta(cur.true_bits, prev_.true_bits));
+  p = put_svarint(p, e.region);
+  p = put_svarint(p, e.peer);
+  p = put_svarint(p, e.tag);
+  p = put_uvarint(p, e.bytes);
+  p = put_svarint(p, delta(cur.msg_id, prev_.msg_id));
+  *p++ = coll;
+  p = put_svarint(p, delta(cur.coll_id, prev_.coll_id));
+  p = put_svarint(p, e.root);
+  p = put_svarint(p, e.omp_instance);
+  p = put_svarint(p, e.thread);
+  body_len_ = static_cast<std::size_t>(p - body_.data());
+  prev_ = cur;
 
   ++body_events_;
   ++total_events_;
@@ -255,19 +314,19 @@ void TraceWriter::append(Rank rank, const Event& e) {
 
 void TraceWriter::flush_chunk() {
   if (body_events_ == 0) return;
-  std::vector<std::uint8_t> head;
-  put_uvarint(head, chunk_seq_);
-  put_uvarint(head, static_cast<std::uint64_t>(pending_rank_));
-  put_uvarint(head, body_events_);
-  emit_chunk(kChunkEvents, head, body_);
+  std::uint8_t head[3 * kMaxVarintBytes];
+  std::uint8_t* h = put_uvarint(head, chunk_seq_);
+  h = put_uvarint(h, static_cast<std::uint64_t>(pending_rank_));
+  h = put_uvarint(h, body_events_);
+  emit_chunk(kChunkEvents, {head, h}, {body_.data(), body_len_});
   ++chunk_seq_;
-  body_.clear();
+  body_len_ = 0;
   body_events_ = 0;
   prev_ = {};
 }
 
-void TraceWriter::emit_chunk(std::uint8_t kind, const std::vector<std::uint8_t>& head,
-                             const std::vector<std::uint8_t>& body) {
+void TraceWriter::emit_chunk(std::uint8_t kind, std::span<const std::uint8_t> head,
+                             std::span<const std::uint8_t> body) {
   CS_SPAN("trace.write_chunk");
   const std::uint64_t len64 = head.size() + body.size();
   CS_ENSURE(len64 <= kMaxChunkPayload, "chunk payload exceeds the format limit");
@@ -357,8 +416,7 @@ std::uint8_t TraceReader::read_chunk() {
     malformed("chunk payload length " + std::to_string(len) + " exceeds the 64 MiB limit");
   }
   src_.need(static_cast<std::uint64_t>(len) + 4, "chunk payload");
-  payload_.resize(len);
-  src_.read_exact(payload_.data(), len, "chunk payload");
+  src_.read_exact(payload_.resize(len), len, "chunk payload");
   const std::uint32_t stored = src_.get_u32("chunk checksum");
 
   if (obs::metrics_enabled()) {
@@ -392,16 +450,37 @@ std::uint8_t TraceReader::read_chunk() {
 }
 
 void TraceReader::parse_meta() {
-  meta_ = parse_meta_payload(payload_.data(), payload_.data() + payload_.size());
+  meta_ = parse_meta_payload(payload_.data(), payload_.end());
 }
 
 bool TraceReader::next(EventBlock& block) {
-  if (done_) return false;
+  Rank rank = 0;
+  std::uint64_t count = 0;
+  const std::uint8_t* body = next_chunk(rank, count);
+  if (body == nullptr) return false;
+  block.rank = rank;
+  block.events.clear();
+  decode_events(body, payload_.end(), count, block.events);
+  return true;
+}
+
+bool TraceReader::next_into(Trace& trace) {
+  CS_REQUIRE(trace.ranks() == ranks(), "trace does not match the reader's placement");
+  Rank rank = 0;
+  std::uint64_t count = 0;
+  const std::uint8_t* body = next_chunk(rank, count);
+  if (body == nullptr) return false;
+  decode_events(body, payload_.end(), count, trace.events(rank));
+  return true;
+}
+
+const std::uint8_t* TraceReader::next_chunk(Rank& rank, std::uint64_t& count) {
+  if (done_) return nullptr;
   const std::uint8_t kind = read_chunk();
   if (kind == kChunkFooter) {
     parse_footer();
     done_ = true;
-    return false;
+    return nullptr;
   }
   if (kind == kChunkMeta) malformed("duplicate meta chunk");
   if (kind != kChunkEvents) {
@@ -409,7 +488,7 @@ bool TraceReader::next(EventBlock& block) {
   }
 
   const std::uint8_t* p = payload_.data();
-  const std::uint8_t* end = p + payload_.size();
+  const std::uint8_t* end = payload_.end();
 
   const std::uint64_t seq = get_uv(&p, end, "event chunk sequence");
   if (seq != event_chunks_seen_) {
@@ -420,27 +499,24 @@ bool TraceReader::next(EventBlock& block) {
   if (rank64 >= static_cast<std::uint64_t>(ranks())) {
     malformed("event chunk rank " + std::to_string(rank64) + " outside the placement");
   }
-  const auto rank = static_cast<Rank>(rank64);
+  rank = static_cast<Rank>(rank64);
   if (rank < last_rank_) malformed("event chunks out of rank order");
 
-  const std::uint64_t count = get_uv(&p, end, "event chunk count");
+  count = get_uv(&p, end, "event chunk count");
   if (count == 0) malformed("empty event chunk");
   if (count > static_cast<std::uint64_t>(end - p) / kMinEncodedEvent) {
     malformed("event chunk count " + std::to_string(count) + " overruns chunk");
   }
 
-  block.rank = rank;
-  decode_events(p, end, count, block.events);
-
   ++event_chunks_seen_;
   events_read_ += count;
   last_rank_ = rank;
-  return true;
+  return p;
 }
 
 void TraceReader::parse_footer() {
   const std::uint8_t* p = payload_.data();
-  const std::uint8_t* end = p + payload_.size();
+  const std::uint8_t* end = payload_.end();
   const std::uint64_t nchunks = get_uv(&p, end, "footer chunk count");
   if (nchunks != event_chunks_seen_) {
     malformed("footer event-chunk count " + std::to_string(nchunks) + " != " +
@@ -630,8 +706,7 @@ void ChunkReader::read(const ChunkRef& ref, EventBlock& out) {
   if (static_cast<std::uint8_t>(hdr[0]) != kChunkEvents || len != ref.payload_len) {
     malformed("event chunk does not match its index entry");
   }
-  payload_.resize(len);
-  read_or_throw(in_, reinterpret_cast<char*>(payload_.data()), len, "chunk payload");
+  read_or_throw(in_, reinterpret_cast<char*>(payload_.resize(len)), len, "chunk payload");
   char crc_bytes[4];
   read_or_throw(in_, crc_bytes, 4, "chunk checksum");
   std::uint32_t stored = 0;
@@ -650,14 +725,18 @@ void ChunkReader::read(const ChunkRef& ref, EventBlock& out) {
   }
 
   const std::uint8_t* p = payload_.data();
-  const std::uint8_t* end = p + payload_.size();
+  const std::uint8_t* end = payload_.end();
   const std::uint64_t seq = get_uv(&p, end, "event chunk sequence");
   const std::uint64_t rank64 = get_uv(&p, end, "event chunk rank");
   const std::uint64_t count = get_uv(&p, end, "event chunk count");
   if (seq != ref.seq || rank64 != static_cast<std::uint64_t>(ref.rank) || count != ref.count) {
     malformed("event chunk does not match its index entry");
   }
+  if (count > static_cast<std::uint64_t>(end - p) / kMinEncodedEvent) {
+    malformed("event chunk count " + std::to_string(count) + " overruns chunk");
+  }
   out.rank = ref.rank;
+  out.events.clear();
   decode_events(p, end, count, out.events);
 }
 
@@ -687,10 +766,7 @@ Trace read_trace_v2(TraceReader& reader) {
     const std::int32_t got = trace.intern_region(meta.regions[i]);
     if (static_cast<std::size_t>(got) != i) malformed("duplicate region name in meta chunk");
   }
-  EventBlock block;
-  while (reader.next(block)) {
-    auto& ev = trace.events(block.rank);
-    ev.insert(ev.end(), block.events.begin(), block.events.end());
+  while (reader.next_into(trace)) {
   }
   return trace;
 }

@@ -45,9 +45,11 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/varint.hpp"
 #include "topology/pinning.hpp"
 #include "trace/io_util.hpp"
 #include "trace/trace.hpp"
@@ -91,21 +93,28 @@ class TraceWriter {
   std::uint64_t bytes_written() const { return bytes_written_; }
 
  private:
+  // Previous event's delta-coded fields as raw bits, so deltas wrap
+  // instead of overflowing.
   struct DeltaState {
     std::uint64_t local_bits = 0;
     std::uint64_t true_bits = 0;
-    std::int64_t msg_id = 0;
-    std::int64_t coll_id = 0;
+    std::uint64_t msg_id = 0;
+    std::uint64_t coll_id = 0;
   };
 
   void flush_chunk();
-  void emit_chunk(std::uint8_t kind, const std::vector<std::uint8_t>& head,
-                  const std::vector<std::uint8_t>& body);
+  void emit_chunk(std::uint8_t kind, std::span<const std::uint8_t> head,
+                  std::span<const std::uint8_t> body);
 
   std::ostream& out_;
   int ranks_;
   std::size_t events_per_chunk_;
-  std::vector<std::uint8_t> body_;  // encoded events of the pending chunk
+  // Encoded events of the pending chunk: the first body_len_ bytes of body_.
+  // append() writes through a raw pointer, so body_ keeps room for one more
+  // maximal event past body_len_ and grows geometrically; it is reused
+  // across chunks.
+  std::vector<std::uint8_t> body_;
+  std::size_t body_len_ = 0;
   std::size_t body_events_ = 0;
   Rank pending_rank_ = 0;
   DeltaState prev_{};
@@ -124,6 +133,37 @@ struct EventBlock {
   std::vector<Event> events;
 };
 
+/// Longest run of bytes the event decoder reads for one event, valid or not:
+/// the type and coll bytes plus eleven varints of at most 10 bytes each (a
+/// 32-bit field is range-checked only after its bytes are read).
+inline constexpr std::size_t kDecodeSlack = 2 + 11 * kMaxVarintBytes;  // 112
+
+/// A chunk payload buffer for the event decoder.
+///
+/// Slack-padding invariant: after resize(len), the `len` payload bytes are
+/// followed by at least kDecodeSlack readable zero bytes.  The decoder
+/// therefore skips per-byte end checks inside an event and compares its
+/// cursor with end() once per event.  That is enough: every event starts at
+/// or before end() (the previous event's check guarantees it), and one event
+/// reads at most kDecodeSlack bytes, so no read leaves the buffer.  An event
+/// that crosses end() (a chunk cut mid-event, or a count larger than the
+/// events present) leaves the cursor past end() and is rejected there at the
+/// latest; the zero slack decodes as short one-byte fields.
+class PayloadBuffer {
+ public:
+  /// Makes room for a `len`-byte payload, zeroes the slack behind it, and
+  /// returns where the payload goes.
+  std::uint8_t* resize(std::size_t len);
+
+  const std::uint8_t* data() const { return buf_.data(); }
+  const std::uint8_t* end() const { return buf_.data() + len_; }
+  std::size_t size() const { return len_; }
+
+ private:
+  std::vector<std::uint8_t> buf_;
+  std::size_t len_ = 0;
+};
+
 /// Streaming v2 reader: validates the header and meta chunk on construction,
 /// then yields event blocks rank-by-rank via next().  next() returns false
 /// only after the footer verified the chunk sequence, the event total, and
@@ -137,18 +177,27 @@ class TraceReader {
   const TraceMeta& meta() const { return meta_; }
   int ranks() const { return meta_.ranks(); }
 
+  /// Decodes the next event chunk into `block`, replacing its events.
   bool next(EventBlock& block);
+
+  /// Decodes the next event chunk straight onto the end of
+  /// `trace.events(rank)`, with no intermediate block.  `trace` must have
+  /// this reader's rank count.  Returns false, like next(), after the footer.
+  bool next_into(Trace& trace);
 
   std::uint64_t events_read() const { return events_read_; }
 
  private:
   std::uint8_t read_chunk();
+  /// Reads and validates the next event chunk's head; returns its first
+  /// event byte, or nullptr once the footer has been verified.
+  const std::uint8_t* next_chunk(Rank& rank, std::uint64_t& count);
   void parse_meta();
   void parse_footer();
 
   traceio::ByteSource src_;
   TraceMeta meta_;
-  std::vector<std::uint8_t> payload_;  // reused chunk buffer
+  PayloadBuffer payload_;  // reused chunk buffer
   std::uint32_t file_crc_ = 0;
   std::uint64_t event_chunks_seen_ = 0;
   std::uint64_t events_read_ = 0;
@@ -202,7 +251,7 @@ class ChunkReader {
  private:
   std::istream& in_;
   int ranks_;
-  std::vector<std::uint8_t> payload_;
+  PayloadBuffer payload_;
 };
 
 // -- whole-trace conveniences -------------------------------------------------

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "common/crc32c.hpp"
+#include "common/crc32c_portable.hpp"
+#include "common/rng.hpp"
 #include "common/varint.hpp"
 
 namespace chronosync {
@@ -44,6 +47,86 @@ TEST(Crc32c, DetectsSingleBitFlips) {
       EXPECT_NE(crc32c(0, data.data(), data.size()), clean)
           << "undetected flip at byte " << byte << " bit " << bit;
       data[byte] = static_cast<char>(data[byte] ^ (1 << bit));
+    }
+  }
+}
+
+// The dispatched crc32c() runs on the SSE4.2 instruction where the CPU has
+// it; the portable tables are the reference it must match bit for bit.
+TEST(Crc32c, HardwareMatchesPortable) {
+  Rng rng(20261017);
+  std::vector<std::uint8_t> buf(8 * 1024 * 1024 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const std::uint8_t* p = buf.data() + offset;
+    for (std::size_t n = 0; n <= 4096; ++n) {
+      const std::uint32_t seed = n % 3 == 0 ? 0u : static_cast<std::uint32_t>(n * 2654435761u);
+      ASSERT_EQ(crc32c(seed, p, n), detail::crc32c_portable(seed, p, n))
+          << "offset " << offset << " length " << n;
+    }
+    const std::size_t big = 8 * 1024 * 1024;
+    const std::uint32_t whole = detail::crc32c_portable(0, p, big);
+    ASSERT_EQ(crc32c(0, p, big), whole) << "8 MiB at offset " << offset;
+
+    // Split and composed updates, each part at its own alignment.
+    const std::size_t split = 4096 + 3 * offset + 1;
+    EXPECT_EQ(crc32c(crc32c(0, p, split), p + split, big - split), whole);
+    EXPECT_EQ(crc32c(detail::crc32c_portable(0, p, split), p + split, big - split), whole);
+    EXPECT_EQ(detail::crc32c_portable(crc32c(0, p, split), p + split, big - split), whole);
+    std::uint32_t pieces = 0;
+    for (std::size_t at = 0, step = 1; at < big; at += step, step = step * 3 % 1021 + 1) {
+      pieces = crc32c(pieces, p + at, std::min(step, big - at));
+    }
+    EXPECT_EQ(pieces, whole) << "piecewise at offset " << offset;
+  }
+}
+
+TEST(Varint, PointerEncoderMatchesVectorEncoder) {
+  const std::uint64_t cases[] = {0, 1, 127, 128, 300, 1ull << 35, (1ull << 63) - 1,
+                                 std::numeric_limits<std::uint64_t>::max()};
+  for (std::uint64_t v : cases) {
+    std::vector<std::uint8_t> vec;
+    put_uvarint(vec, v);
+    std::uint8_t raw[kMaxVarintBytes];
+    std::uint8_t* end = put_uvarint(raw, v);
+    EXPECT_EQ(std::vector<std::uint8_t>(raw, end), vec) << v;
+
+    const auto s = static_cast<std::int64_t>(v);
+    vec.clear();
+    put_svarint(vec, s);
+    end = put_svarint(raw, s);
+    EXPECT_EQ(std::vector<std::uint8_t>(raw, end), vec) << s;
+  }
+}
+
+TEST(Varint, PaddedDecoderAgreesWithBoundedDecoder) {
+  // Every encoding the bounded decoder accepts, the padded one accepts with
+  // the same value and length; every overlong one both reject.
+  std::vector<std::vector<std::uint8_t>> inputs;
+  for (int bits = 0; bits <= 64; ++bits) {
+    std::vector<std::uint8_t> buf;
+    put_uvarint(buf, bits == 64 ? std::numeric_limits<std::uint64_t>::max()
+                                : (std::uint64_t{1} << bits) - (bits > 0 ? 1 : 0));
+    inputs.push_back(buf);
+  }
+  inputs.push_back({0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00});
+  inputs.push_back({0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02});
+  inputs.push_back({0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01});
+  inputs.push_back({0x80, 0x00});  // non-minimal but within ten bytes
+  for (const auto& in : inputs) {
+    std::vector<std::uint8_t> padded = in;
+    padded.resize(in.size() + kMaxVarintBytes, 0);
+    const std::uint8_t* a = in.data();
+    const std::uint8_t* b = padded.data();
+    std::uint64_t va = 0;
+    std::uint64_t vb = 0;
+    const bool ok_a = get_uvarint(&a, in.data() + in.size(), va);
+    const bool ok_b = get_uvarint_padded(&b, vb);
+    ASSERT_EQ(ok_a, ok_b) << "input of " << in.size() << " bytes";
+    if (ok_a) {
+      EXPECT_EQ(va, vb);
+      EXPECT_EQ(a - in.data(), b - padded.data());
     }
   }
 }
