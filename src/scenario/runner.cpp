@@ -225,7 +225,8 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const ScenarioRunOptions&
 
   // Every method, every pairwise contract, every scanner.
   const verify::DifferentialReport diff = timed_phase(
-      "scenario.differential", [&] { return verify::run_differential_suite(trace, res.offsets); });
+      "scenario.differential",
+      [&] { return verify::run_differential_suite(trace, res.offsets, messages, schedule); });
   out.differential_clean = diff.ok();
   out.accuracy = diff.accuracy;
   if (!diff.ok()) {
@@ -254,12 +255,10 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const ScenarioRunOptions&
       stream_opt.horizon = spec.stream.horizon;
       stream_opt.emit_batch = static_cast<std::size_t>(spec.stream.emit_batch);
       std::vector<std::string> stream_failures;
-      verify::cross_check_windowed_clc(trace, options.work_dir, stream_opt, stream_failures);
+      verify::cross_check_windowed_clc(trace, schedule, options.work_dir, stream_opt,
+                                       stream_failures, &out.stream);
       out.stream_checked = true;
       out.stream_identical = stream_failures.empty();
-      // The cross-check's own stats are not returned; re-derive the headline
-      // counters from a direct run only when someone asks for them in summary()
-      // — the identity verdict above is what the expectations consume.
       for (const auto& f : stream_failures) out.failures.push_back("stream: " + f);
     });
   }
@@ -286,6 +285,13 @@ std::string ScenarioOutcome::summary() const {
     os << "; streaming CLC " << (stream_identical ? "bit-identical" : "DIVERGED");
   }
   os << "\n";
+  if (stream_checked) {
+    os << "  stream: " << stream.events << " event(s), " << stream.violations_repaired
+       << " repaired, peak " << stream.peak_resident_events
+       << " resident event(s), ramp_clamped=" << stream.ramp_clamped
+       << " horizon_dropped=" << stream.horizon_dropped << " forced=" << stream.forced
+       << "\n";
+  }
   for (const auto& a : accuracy) {
     os << "  accuracy " << a.name << ": rms " << a.rms_error << " s, max |err| "
        << a.max_abs_error << " s\n";

@@ -7,7 +7,9 @@
 //   2. apply the post-run clock faults (drift storms, NTP steps, leap
 //      seconds) to the recorded trace — exactly what a trace collected on
 //      faulty clocks would look like, probes included;
-//   3. audit the raw trace (paper invariants, Eq. 1 violation census);
+//   3. match messages, derive logical messages and build the replay
+//      schedule once — phases 3–6 all share them — then audit the raw trace
+//      (paper invariants, Eq. 1 violation census);
 //   4. run every correction method + the pairwise differential suite + the
 //      three clock-condition scanners (verify::run_differential_suite);
 //   5. run the CLC on the interpolated input and audit its output with zero
@@ -45,7 +47,7 @@ struct ScenarioOutcome {
   std::size_t clc_audit_violations = 0;  ///< zero-slack audit of CLC output
   bool stream_checked = false;
   bool stream_identical = false;         ///< windowed CLC bit-identical
-  StreamClcStats stream;
+  StreamClcStats stream;                 ///< the windowed run's stats (if checked)
   /// Ground-truth accuracy of every method the differential suite ran (RMS
   /// vs the master clock at each event's true timestamp); feeds the
   /// expect.accuracy[] races and the EXPERIMENTS.md tables.

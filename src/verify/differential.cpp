@@ -24,7 +24,6 @@
 #include "sync/kalman_drift.hpp"
 #include "sync/offset_alignment.hpp"
 #include "sync/omp_clc.hpp"
-#include "trace/logical_messages.hpp"
 #include "trace/stream_io.hpp"
 #include "trace/trace_io_error.hpp"
 
@@ -170,6 +169,13 @@ std::vector<MethodAccuracy> ground_truth_accuracy(const Trace& trace,
     return {};
   }
 
+  // Every method is scored against the same master reading of each event,
+  // so it is evaluated once per event and shared across methods.
+  TimestampArray truth = TimestampArray::from_truth(trace);
+  for (Rank r = 0; r < truth.ranks(); ++r) {
+    for (Time& t : truth.of_rank(r)) t = master(t);
+  }
+
   std::vector<MethodAccuracy> out;
   out.reserve(outputs.size());
   for (const auto& m : outputs) {
@@ -177,10 +183,10 @@ std::vector<MethodAccuracy> ground_truth_accuracy(const Trace& trace,
     acc.name = m.name;
     double sum_sq = 0.0;
     for (Rank r = 0; r < trace.ranks(); ++r) {
-      const auto& events = trace.events(r);
+      const auto& expect = truth.of_rank(r);
       const auto& ts = m.ts.of_rank(r);
-      for (std::uint32_t i = 0; i < events.size(); ++i) {
-        const double err = ts[i] - master(events[i].true_ts);
+      for (std::uint32_t i = 0; i < expect.size(); ++i) {
+        const double err = ts[i] - expect[i];
         ++acc.events;
         sum_sq += err * err;
         acc.max_abs_error = std::max(acc.max_abs_error, std::abs(err));
@@ -314,15 +320,20 @@ std::size_t cross_check_scans(const Trace& trace, const ReplaySchedule& schedule
   return 2;
 }
 
-std::size_t cross_check_windowed_clc(const Trace& trace, const std::string& work_dir,
+std::size_t cross_check_windowed_clc(const Trace& trace, const ReplaySchedule& schedule,
+                                     const std::string& work_dir,
                                      const StreamClcOptions& options,
-                                     std::vector<std::string>& failures) {
+                                     std::vector<std::string>& failures,
+                                     StreamClcStats* stats_out) {
   CS_SPAN("verify.cross_check_windowed_clc");
+  CS_REQUIRE(schedule.events() == trace.total_events(),
+             "schedule was not built from this trace");
   const ScratchDir scratch(work_dir);
   const std::string in_path = scratch.path() + "/in.cstr";
   const std::string out_path = scratch.path() + "/out.cstr";
   write_trace_v2_file(trace, in_path);
   const StreamClcStats stats = clc_stream_file(in_path, out_path, options);
+  if (stats_out != nullptr) *stats_out = stats;
 
   std::size_t comparisons = 0;
   if (stats.ramp_clamped != 0 || stats.horizon_dropped != 0 || stats.forced != 0) {
@@ -334,9 +345,6 @@ std::size_t cross_check_windowed_clc(const Trace& trace, const std::string& work
   }
   ++comparisons;
 
-  const auto messages = trace.match_messages();
-  const auto logical = derive_logical_messages(trace);
-  const ReplaySchedule schedule(trace, messages, logical);
   const ClcResult mem =
       controlled_logical_clock(trace, schedule, TimestampArray::from_local(trace), options.clc);
 
@@ -482,11 +490,11 @@ std::string DifferentialReport::summary() const {
 }
 
 DifferentialReport run_differential_suite(const Trace& trace, const OffsetStore& offsets,
-                                          double tolerance) {
+                                          const std::vector<MessageRecord>& messages,
+                                          const ReplaySchedule& schedule, double tolerance) {
   CS_SPAN("verify.run_differential_suite");
-  const auto messages = trace.match_messages();
-  const auto logical = derive_logical_messages(trace);
-  const ReplaySchedule schedule(trace, messages, logical);
+  CS_REQUIRE(schedule.events() == trace.total_events(),
+             "schedule was not built from this trace");
 
   const auto outputs = run_all_methods(trace, offsets, messages, schedule);
   DifferentialReport report = compare_methods(trace, outputs, tolerance);

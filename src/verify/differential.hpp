@@ -73,9 +73,9 @@ struct MethodAccuracy {
 };
 
 /// Computes per-method ground-truth accuracy.  The master timeline is the
-/// piecewise-linear map true_ts -> local_ts through rank 0's events; returns
-/// empty (with a warning) when rank 0 has fewer than two distinct true
-/// timestamps to anchor it.
+/// piecewise-linear map true_ts -> local_ts through rank 0's events, read
+/// once per event and shared by every method; returns empty (with a warning)
+/// when rank 0 has fewer than two distinct true timestamps to anchor it.
 std::vector<MethodAccuracy> ground_truth_accuracy(const Trace& trace,
                                                   const std::vector<MethodOutput>& outputs);
 
@@ -89,8 +89,8 @@ struct DifferentialReport {
 };
 
 /// Compares every pair of method outputs.  `tolerance` applies to
-/// informational pairs; must-match pairs (identical `name` prefix rules are
-/// not used — the caller's contract list below is) are compared exactly.
+/// informational pairs; must-match pairs (the fixed list of contracted-identical
+/// method names, e.g. serial vs parallel CLC) are compared exactly.
 DifferentialReport compare_methods(const Trace& trace,
                                    const std::vector<MethodOutput>& outputs,
                                    double tolerance);
@@ -108,13 +108,18 @@ std::size_t cross_check_scans(const Trace& trace, const ReplaySchedule& schedule
 /// runs clc_stream_file on it, and demands a *bit-identical* corrected trace
 /// and jump statistics whenever the streaming run reports zero divergences
 /// (ramp_clamped == horizon_dropped == forced == 0) — which the fixture's
-/// options must ensure.  true_ts and all non-timestamp fields must survive
-/// the round-trip untouched.  Appends contract breaches to `failures` and
-/// returns the number of comparisons made.  The private directory and
-/// everything in it are removed, also when the check throws.
-std::size_t cross_check_windowed_clc(const Trace& trace, const std::string& work_dir,
+/// options must ensure.  The in-memory CLC replays the caller's `schedule`,
+/// which must be built from `trace` (std::invalid_argument otherwise).
+/// true_ts and all non-timestamp fields must survive the round-trip
+/// untouched.  Appends contract breaches to `failures`, stores the streaming
+/// run's statistics in `*stats` when non-null, and returns the number of
+/// comparisons made.  The private directory and everything in it are
+/// removed, also when the check throws.
+std::size_t cross_check_windowed_clc(const Trace& trace, const ReplaySchedule& schedule,
+                                     const std::string& work_dir,
                                      const StreamClcOptions& options,
-                                     std::vector<std::string>& failures);
+                                     std::vector<std::string>& failures,
+                                     StreamClcStats* stats = nullptr);
 
 /// Cross-checks the OpenMP CLC backend on a POMP trace, with the same
 /// bit-identical-to-sequential contract as clc_parallel:
@@ -130,9 +135,14 @@ std::size_t cross_check_omp_clc(const Trace& omp_trace, const Placement& thread_
                                 std::vector<std::string>& failures);
 
 /// The full differential suite: run_all_methods + compare_methods +
-/// cross_check_scans + an invariant audit of every CLC output (zero slack)
-/// with `audit_slack` applied to the non-exact methods.
+/// ground_truth_accuracy + cross_check_scans + an invariant audit of every
+/// output.  CLC outputs are audited with zero clock-condition slack; the
+/// non-exact methods with infinite slack, i.e. finiteness and local order
+/// only.  `messages` and `schedule` are the caller's, built once from
+/// `trace`; a schedule of another trace throws std::invalid_argument.
 DifferentialReport run_differential_suite(const Trace& trace, const OffsetStore& offsets,
+                                          const std::vector<MessageRecord>& messages,
+                                          const ReplaySchedule& schedule,
                                           double tolerance = 1e-9);
 
 }  // namespace chronosync::verify

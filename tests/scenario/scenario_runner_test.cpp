@@ -93,6 +93,29 @@ TEST(ScenarioRunner, SameSeedSameOutcome) {
   EXPECT_EQ(a.clc_repairs, b.clc_repairs);
 }
 
+TEST(ScenarioRunner, StreamStatsAreReported) {
+  // The windowed cross-check's statistics reach the outcome: every event was
+  // streamed, and the divergence counters the bit-identity verdict rests on
+  // are zero.
+  ScenarioSpec spec = parse_scenario(R"({
+    "name": "smoke-stream-stats",
+    "workload": {"ranks": 4, "rounds": 60},
+    "stream": {"enabled": true}
+  })");
+  const ScenarioOutcome out = run_scenario(spec, temp_opts());
+  ASSERT_TRUE(out.stream_checked);
+  EXPECT_TRUE(out.stream_identical) << out.summary();
+  EXPECT_GT(out.events, 0u);
+  EXPECT_EQ(out.stream.events, out.events);
+  EXPECT_GT(out.stream.peak_resident_events, 0u);
+  EXPECT_EQ(out.stream.ramp_clamped, 0u);
+  EXPECT_EQ(out.stream.horizon_dropped, 0u);
+  EXPECT_EQ(out.stream.forced, 0u);
+  EXPECT_NE(out.summary().find("ramp_clamped=0 horizon_dropped=0 forced=0"),
+            std::string::npos)
+      << out.summary();
+}
+
 TEST(ScenarioRunner, UnknownTimerIsSchemaError) {
   ScenarioSpec spec = parse_scenario(R"({"name": "smoke-timer",
                                          "workload": {"ranks": 4, "rounds": 10}})");

@@ -3,12 +3,17 @@
 #include "verify/differential.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
+#include "common/mathutil.hpp"
 #include "ompsim/omp_bench.hpp"
 #include "trace/logical_messages.hpp"
+#include "verify/fault_injection.hpp"
 #include "workload/sweep.hpp"
 
 namespace chronosync {
@@ -24,6 +29,78 @@ AppRunResult small_fixture(std::uint64_t seed = 42) {
   job.timer = timer_specs::intel_tsc();
   job.seed = seed;
   return run_sweep(cfg, std::move(job));
+}
+
+// Mid-run probe batches matter for the accuracy race: with only the endpoint
+// batches the Kalman filter has two knots and degenerates to exactly Eq. 3's
+// line.
+AppRunResult probe_fixture() {
+  SweepConfig cfg;
+  cfg.rounds = 60;
+  cfg.gap_mean = 3.0;
+  cfg.collective_every = 20;
+  cfg.probe_every = 15;
+  JobConfig job;
+  job.placement = pinning::inter_node(clusters::xeon_rwth(), 4);
+  job.timer = timer_specs::intel_tsc();
+  job.seed = 42;
+  return run_sweep(cfg, std::move(job));
+}
+
+std::vector<verify::MethodOutput> all_methods(const Trace& trace, const OffsetStore& offsets) {
+  const auto msgs = trace.match_messages();
+  const auto logical = derive_logical_messages(trace);
+  const ReplaySchedule schedule(trace, msgs, logical);
+  return verify::run_all_methods(trace, offsets, msgs, schedule);
+}
+
+// The accuracy race as first written: the master clock is read at each
+// event's true time once per method.  ground_truth_accuracy reads it once
+// per event and must still agree bit for bit.
+std::vector<verify::MethodAccuracy> reference_accuracy(
+    const Trace& trace, const std::vector<verify::MethodOutput>& outputs) {
+  PiecewiseLinear master;
+  if (trace.ranks() > 0) {
+    for (const Event& e : trace.events(0)) {
+      if (master.size() > 0 && !(e.true_ts > master.knots().back().x)) continue;
+      master.append(e.true_ts, e.local_ts);
+    }
+  }
+  if (master.size() < 2) return {};
+  std::vector<verify::MethodAccuracy> out;
+  for (const auto& m : outputs) {
+    verify::MethodAccuracy acc;
+    acc.name = m.name;
+    double sum_sq = 0.0;
+    for (Rank r = 0; r < trace.ranks(); ++r) {
+      const auto& events = trace.events(r);
+      const auto& ts = m.ts.of_rank(r);
+      for (std::uint32_t i = 0; i < events.size(); ++i) {
+        const double err = ts[i] - master(events[i].true_ts);
+        ++acc.events;
+        sum_sq += err * err;
+        acc.max_abs_error = std::max(acc.max_abs_error, std::abs(err));
+      }
+    }
+    acc.rms_error = acc.events > 0 ? std::sqrt(sum_sq / static_cast<double>(acc.events)) : 0.0;
+    out.push_back(std::move(acc));
+  }
+  return out;
+}
+
+void expect_same_accuracy(const std::vector<verify::MethodAccuracy>& got,
+                          const std::vector<verify::MethodAccuracy>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].name, want[k].name);
+    EXPECT_EQ(got[k].events, want[k].events) << want[k].name;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k].rms_error),
+              std::bit_cast<std::uint64_t>(want[k].rms_error))
+        << want[k].name << ": " << got[k].rms_error << " vs " << want[k].rms_error;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k].max_abs_error),
+              std::bit_cast<std::uint64_t>(want[k].max_abs_error))
+        << want[k].name << ": " << got[k].max_abs_error << " vs " << want[k].max_abs_error;
+  }
 }
 
 TEST(Differential, RunAllMethodsIncludesClcContractPair) {
@@ -67,22 +144,8 @@ TEST(Differential, MethodVocabularyMatchesEmittedMethods) {
 }
 
 TEST(Differential, GroundTruthAccuracyRanksMethods) {
-  // Mid-run probe batches matter here: with only the endpoint batches the
-  // filter has two knots and degenerates to exactly Eq. 3's line.
-  SweepConfig cfg;
-  cfg.rounds = 60;
-  cfg.gap_mean = 3.0;
-  cfg.collective_every = 20;
-  cfg.probe_every = 15;
-  JobConfig job;
-  job.placement = pinning::inter_node(clusters::xeon_rwth(), 4);
-  job.timer = timer_specs::intel_tsc();
-  job.seed = 42;
-  const AppRunResult res = run_sweep(cfg, std::move(job));
-  const auto msgs = res.trace.match_messages();
-  const auto logical = derive_logical_messages(res.trace);
-  const ReplaySchedule schedule(res.trace, msgs, logical);
-  const auto outputs = verify::run_all_methods(res.trace, res.offsets, msgs, schedule);
+  const AppRunResult res = probe_fixture();
+  const auto outputs = all_methods(res.trace, res.offsets);
   const auto accuracy = verify::ground_truth_accuracy(res.trace, outputs);
   ASSERT_EQ(accuracy.size(), outputs.size());
 
@@ -106,6 +169,34 @@ TEST(Differential, GroundTruthAccuracyRanksMethods) {
   EXPECT_LT(kalman.rms_error, linear.rms_error);
 }
 
+TEST(Differential, GroundTruthAccuracyMatchesPerMethodReference) {
+  const AppRunResult res = probe_fixture();
+  const auto outputs = all_methods(res.trace, res.offsets);
+  const auto want = reference_accuracy(res.trace, outputs);
+  ASSERT_EQ(want.size(), outputs.size());
+  expect_same_accuracy(verify::ground_truth_accuracy(res.trace, outputs), want);
+}
+
+TEST(Differential, GroundTruthAccuracyMatchesReferenceWithEmptyRanks) {
+  // with_empty_ranks keeps the master rank populated: the race still runs,
+  // and the emptied ranks contribute no events.
+  const AppRunResult res = small_fixture();
+  const Trace holes = verify::with_empty_ranks(res.trace);
+  const auto outputs = all_methods(holes, res.offsets);
+  const auto want = reference_accuracy(holes, outputs);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(want.front().events, holes.total_events());
+  expect_same_accuracy(verify::ground_truth_accuracy(holes, outputs), want);
+
+  // Without master events there is no ground-truth timeline: no race at all.
+  Trace no_master = holes;
+  no_master.events(0).clear();
+  const std::vector<verify::MethodOutput> raw = {
+      {"raw", TimestampArray::from_local(no_master), false}};
+  EXPECT_TRUE(reference_accuracy(no_master, raw).empty());
+  EXPECT_TRUE(verify::ground_truth_accuracy(no_master, raw).empty());
+}
+
 TEST(Differential, OmpClcCrossCheckIsCleanOnBenchFixture) {
   OmpBenchConfig cfg;
   cfg.threads = 6;
@@ -121,9 +212,25 @@ TEST(Differential, OmpClcCrossCheckIsCleanOnBenchFixture) {
 
 TEST(Differential, HealthyFixtureIsClean) {
   const AppRunResult res = small_fixture();
-  const auto report = verify::run_differential_suite(res.trace, res.offsets);
+  const auto msgs = res.trace.match_messages();
+  const auto logical = derive_logical_messages(res.trace);
+  const ReplaySchedule schedule(res.trace, msgs, logical);
+  const auto report = verify::run_differential_suite(res.trace, res.offsets, msgs, schedule);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_FALSE(report.pairs.empty());
+}
+
+TEST(Differential, ScheduleOfAnotherTraceIsRejected) {
+  // A schedule sized for a different trace would index past this one's
+  // events; the suite must refuse it up front.
+  const AppRunResult res = small_fixture();
+  const Trace other = verify::with_empty_ranks(res.trace);
+  ASSERT_NE(other.total_events(), res.trace.total_events());
+  const auto msgs = other.match_messages();
+  const auto logical = derive_logical_messages(other);
+  const ReplaySchedule schedule(other, msgs, logical);
+  EXPECT_THROW(verify::run_differential_suite(res.trace, res.offsets, msgs, schedule),
+               std::invalid_argument);
 }
 
 TEST(Differential, SeededDivergenceInContractPairIsCaught) {

@@ -3,13 +3,16 @@
 
 #include <exception>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "topology/cluster.hpp"
+#include "trace/logical_messages.hpp"
 #include "verify/differential.hpp"
+#include "verify/fault_injection.hpp"
 #include "workload/smg2000.hpp"
 #include "workload/sweep.hpp"
 
@@ -22,10 +25,25 @@ namespace {
 // collective traffic, genuine drift-induced violations) and over several
 // option points, so the sanitizer suite sweeps the whole streaming engine.
 
+struct Replay {
+  explicit Replay(const Trace& trace)
+      : messages(trace.match_messages()),
+        logical(derive_logical_messages(trace)),
+        schedule(trace, messages, logical) {}
+  std::vector<MessageRecord> messages;
+  std::vector<LogicalMessage> logical;
+  ReplaySchedule schedule;
+};
+
 std::vector<std::string> check(const Trace& trace, StreamClcOptions opt) {
+  const Replay replay(trace);
   std::vector<std::string> failures;
-  const std::size_t n = verify::cross_check_windowed_clc(trace, testing::TempDir(), opt, failures);
+  StreamClcStats stats;
+  const std::size_t n = verify::cross_check_windowed_clc(trace, replay.schedule,
+                                                         testing::TempDir(), opt, failures,
+                                                         &stats);
   EXPECT_GT(n, 1u);
+  EXPECT_EQ(stats.events, trace.total_events());
   return failures;
 }
 
@@ -86,6 +104,7 @@ TEST(WindowedClc, ConcurrentCallsShareOneWorkDir) {
   StreamClcOptions opt;
   opt.emit_batch = 8;
   opt.backward_window = 1e3;
+  const Replay replay(trace);
 
   std::vector<std::string> failures[2];
   std::size_t comparisons[2] = {0, 0};
@@ -94,7 +113,8 @@ TEST(WindowedClc, ConcurrentCallsShareOneWorkDir) {
     workers[k] = std::thread([&, k] {
       try {
         for (int rep = 0; rep < 20; ++rep) {
-          comparisons[k] += verify::cross_check_windowed_clc(trace, dir, opt, failures[k]);
+          comparisons[k] +=
+              verify::cross_check_windowed_clc(trace, replay.schedule, dir, opt, failures[k]);
         }
       } catch (const std::exception& e) {
         failures[k].push_back(e.what());
@@ -108,6 +128,23 @@ TEST(WindowedClc, ConcurrentCallsShareOneWorkDir) {
   }
   EXPECT_TRUE(std::filesystem::is_empty(dir)) << "scratch files left in " << dir;
   std::filesystem::remove_all(dir);
+}
+
+TEST(WindowedClc, ScheduleOfAnotherTraceIsRejected) {
+  SweepConfig cfg;
+  cfg.rounds = 20;
+  JobConfig job;
+  job.placement = pinning::inter_node(clusters::xeon_rwth(), 4);
+  job.timer = timer_specs::intel_tsc();
+  job.seed = 31;
+  const Trace trace = run_sweep(cfg, std::move(job)).trace;
+  const Trace other = verify::with_empty_ranks(trace);
+  ASSERT_NE(other.total_events(), trace.total_events());
+  const Replay replay(other);
+  std::vector<std::string> failures;
+  EXPECT_THROW(verify::cross_check_windowed_clc(trace, replay.schedule, testing::TempDir(), {},
+                                                failures),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -38,7 +38,8 @@
 //       Cross-checks the out-of-core windowed streaming CLC against the
 //       in-memory CLC on the synthetic fixture (or on the v2 trace file F):
 //       the corrected trace and the jump statistics must be bit-identical
-//       whenever the streaming run reports zero divergences.
+//       whenever the streaming run reports zero divergences.  Prints the
+//       streaming run's statistics as one `windowed stats:` line.
 //
 //   chronocheck --scenario <file> [--work-dir D]
 //   chronocheck --scenario-battery <dir> [--work-dir D]
@@ -144,8 +145,11 @@ int run_synthetic(const Cli& cli) {
   const AppRunResult res = make_fixture(cli);
   std::cout << "chronocheck: synthetic fixture with " << res.trace.ranks() << " ranks, "
             << res.trace.total_events() << " events\n";
-  const auto report =
-      verify::run_differential_suite(res.trace, res.offsets, cli.get_double("tolerance", 1e-9));
+  const auto messages = res.trace.match_messages();
+  const auto logical = derive_logical_messages(res.trace);
+  const ReplaySchedule schedule(res.trace, messages, logical);
+  const auto report = verify::run_differential_suite(res.trace, res.offsets, messages, schedule,
+                                                     cli.get_double("tolerance", 1e-9));
   std::cout << report.summary();
   if (!report.ok()) return 1;
   std::cout << "ok: differential suite clean\n";
@@ -254,7 +258,10 @@ int run_faults(const Cli& cli) {
           trace = verify::with_empty_ranks(trace);
           break;
       }
-      const auto report = verify::run_differential_suite(trace, offsets);
+      const auto messages = trace.match_messages();
+      const auto logical = derive_logical_messages(trace);
+      const ReplaySchedule schedule(trace, messages, logical);
+      const auto report = verify::run_differential_suite(trace, offsets, messages, schedule);
       std::cout << report.summary();
       if (!report.ok()) {
         std::cout << "FAIL " << verify::to_string(fault)
@@ -283,9 +290,19 @@ int run_stream(const Cli& cli) {
   // amortization ramps span seconds; a generous window keeps the run
   // divergence-free, which the cross-check demands.
   opt.backward_window = cli.get_double("backward-window", 1e4);
+  const auto messages = trace.match_messages();
+  const auto logical = derive_logical_messages(trace);
+  const ReplaySchedule schedule(trace, messages, logical);
   std::vector<std::string> failures;
+  StreamClcStats stats;
   const std::size_t n = verify::cross_check_windowed_clc(
-      trace, cli.get("work-dir", "."), opt, failures);
+      trace, schedule, cli.get("work-dir", "."), opt, failures, &stats);
+  std::cout << "windowed stats: events=" << stats.events
+            << " repaired=" << stats.violations_repaired
+            << " peak_resident_events=" << stats.peak_resident_events
+            << " ramp_clamped=" << stats.ramp_clamped
+            << " horizon_dropped=" << stats.horizon_dropped << " forced=" << stats.forced
+            << "\n";
   std::cout << "windowed differential: " << n << " comparison(s), " << failures.size()
             << " contract failure(s)\n";
   for (const auto& f : failures) std::cout << "FAIL " << f << "\n";

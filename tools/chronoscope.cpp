@@ -8,7 +8,8 @@
 //                                       matching E, and timestamps are sane
 //   chronoscope --top N trace.json      rows in the span table (default 15)
 //   chronoscope --phases trace.json     per-phase breakdown under the
-//                                       dominant root span: wall, % of root,
+//                                       dominant root span with phases
+//                                       (children): wall, % of root,
 //                                       self time, and the unattributed gap
 //                                       (critical-path attribution for the
 //                                       serial scenario pipeline)
@@ -37,6 +38,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchkit/json.hpp"
@@ -283,13 +285,19 @@ void print_summary(const Analysis& a, int top) {
 /// Per-phase breakdown under the dominant depth-0 span: each direct child is
 /// one pipeline phase; wall share plus the unattributed gap attribute the
 /// root's critical path (the pipeline runs its phases serially, so the wall
-/// column *is* the critical-path cost of each phase).
+/// column *is* the critical-path cost of each phase).  The dominant root is
+/// the one with the largest total among roots that have phases: worker
+/// threads' spans are depth-0 on their own threads, and summed over several
+/// workers (parallel CLC workers spinning on a loaded machine) they can
+/// outweigh the pipeline root they run inside, with nothing to break down.
 int print_phases(const Analysis& a) {
   if (a.roots.empty()) fail("no completed depth-0 span to break down");
+  const auto weight = [&a](const auto& root) {
+    return std::pair(a.children.contains(root.first), root.second.total_us);
+  };
   const auto root_it =
-      std::max_element(a.roots.begin(), a.roots.end(), [](const auto& x, const auto& y) {
-        return x.second.total_us < y.second.total_us;
-      });
+      std::max_element(a.roots.begin(), a.roots.end(),
+                       [&](const auto& x, const auto& y) { return weight(x) < weight(y); });
   const std::string& root_name = root_it->first;
   const SpanAgg& root = root_it->second;
 
