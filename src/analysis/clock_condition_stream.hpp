@@ -4,10 +4,14 @@
 // -> check_clock_condition) materializes every event, the message index, and
 // a timestamp array — ~150 bytes per event.  The streaming scan consumes a v2
 // trace chunk-by-chunk through TraceReader and keeps only the per-message
-// pairing state (message endpoints by msg_id, collective instances by
-// coll_id), so resident memory is bounded by the number of *messages*, not
-// events — on region-dominated traces orders of magnitude smaller, and never
-// the full 150 bytes/event of the loader.
+// pairing state (half-open message endpoints by msg_id, collective instances
+// by coll_id), so resident memory is bounded by the message backlog, not the
+// event count — on region-dominated traces orders of magnitude smaller, and
+// never the full 150 bytes/event of the loader.  A half-open endpoint takes
+// one 24-byte slot of an open-addressing IdTable (common/id_table.hpp); in
+// rank-major file order the backlog can still reach a large share of all
+// messages (353,755 of them on an 8-rank 2.5*10^6-event sweep, 12 MiB of
+// table).
 //
 // The report is identical (same counts, same worst-case slack) to
 //   check_clock_condition(trace, TimestampArray::from_local(trace))

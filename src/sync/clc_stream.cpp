@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
+#include "common/id_table.hpp"
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
 #include "trace/stream_io.hpp"
@@ -22,12 +23,13 @@ namespace {
 
 constexpr Duration kFpMargin = 1e-12;  // matches clc_detail::backward_pass
 
-/// Pairing state of one point-to-point message.  Entries are created when an
-/// endpoint's chunk is *read* (so processability can distinguish "send not
-/// yet seen" from "send later in the file") and die when the receive has
-/// consumed the edge — or, for receive-less sends past the horizon, when the
-/// entry spills to disk.
+/// Pairing state of one point-to-point message, an IdTable slot keyed by
+/// msg_id.  Entries are created when an endpoint's chunk is *read* (so
+/// processability can distinguish "send not yet seen" from "send later in
+/// the file") and die when the receive has consumed the edge — or, for
+/// receive-less sends past the horizon, when the entry spills to disk.
 struct MsgState {
+  std::int64_t id = 0;
   Time send_ts = 0.0;
   Time send_lc = 0.0;
   Rank send_rank = -1;
@@ -36,6 +38,14 @@ struct MsgState {
   bool send_processed = false;
   bool recv_registered = false;
   bool recv_dropped = false;  ///< receive went ahead unconstrained (horizon)
+  bool live = false;
+};
+
+/// Where a spilled message's record sits in the message spill file.
+struct SpillSlot {
+  std::int64_t id = 0;
+  std::uint64_t offset = 0;
+  bool live = false;
 };
 
 /// One processed CollBegin of an instance: enough to build the logical edges
@@ -77,10 +87,85 @@ struct Pending {
   bool is_send = false;
 };
 
+/// What processing needs of a read-ahead event: 24 bytes per event instead
+/// of the decoded 80-byte Event.
+struct AheadEvent {
+  Time ts = 0.0;          ///< local timestamp
+  std::int64_t id = -1;   ///< msg_id of a send/receive, coll_id of a collective event
+  EventType type{};
+};
+
+/// Fixed-size pages of T, recycled between the ranks' queues of one engine.
+/// The window allocates its high-water once, and the pages a rank no longer
+/// needs serve the next rank that grows.
+template <class T>
+class PagePool {
+ public:
+  static constexpr std::size_t kPage = 512;  ///< entries per page
+
+  T* take() {
+    if (free_.empty()) {
+      owned_.push_back(std::make_unique<T[]>(kPage));
+      return owned_.back().get();
+    }
+    T* page = free_.back();
+    free_.pop_back();
+    return page;
+  }
+  void give(T* page) { free_.push_back(page); }
+
+ private:
+  std::vector<std::unique_ptr<T[]>> owned_;
+  std::vector<T*> free_;
+};
+
+/// FIFO over pages of a PagePool: one rank's read-ahead or retention window.
+template <class T>
+class PagedQueue {
+  static constexpr std::size_t kPage = PagePool<T>::kPage;
+
+ public:
+  explicit PagedQueue(PagePool<T>& pool) : pool_(&pool) {}
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const T& front() const { return pages_.front()[head_]; }
+  T& operator[](std::size_t i) {
+    const std::size_t k = head_ + i;
+    return pages_[k / kPage][k % kPage];
+  }
+
+  void push_back(const T& v) {
+    const std::size_t k = head_ + size_;
+    if (k == pages_.size() * kPage) pages_.push_back(pool_->take());
+    pages_[k / kPage][k % kPage] = v;
+    ++size_;
+  }
+
+  /// Drops the first `n` entries; pages left empty go back to the pool.
+  void pop_front(std::size_t n) {
+    head_ += n;
+    size_ -= n;
+    const std::size_t done = size_ == 0 ? pages_.size() : head_ / kPage;
+    for (std::size_t i = 0; i < done; ++i) pool_->give(pages_[i]);
+    pages_.erase(pages_.begin(), pages_.begin() + static_cast<std::ptrdiff_t>(done));
+    head_ = size_ == 0 ? 0 : head_ - done * kPage;
+  }
+
+ private:
+  PagePool<T>* pool_;
+  std::vector<T*> pages_;
+  std::size_t head_ = 0;  ///< position of the front entry in pages_[0]
+  std::size_t size_ = 0;
+};
+
 struct RankState {
+  RankState(PagePool<AheadEvent>& ahead_pages, PagePool<Pending>& pend_pages)
+      : ahead(ahead_pages), pend(pend_pages) {}
+
   std::vector<std::uint32_t> chunks;  ///< indices into TraceIndex::chunks
   std::size_t next_chunk = 0;
-  std::deque<Event> ahead;  ///< read but not yet processed
+  PagedQueue<AheadEvent> ahead;  ///< read but not yet processed
 
   // Forward-pass scalar state (mirrors clc_detail::forward_pass).
   bool has_prev = false;
@@ -88,16 +173,12 @@ struct RankState {
   Time prev_lc = 0.0;
 
   std::uint32_t seq = 0;  ///< events processed so far
-  std::deque<Pending> pend;
-  std::uint32_t front_seq = 0;  ///< seq of pend.front()
+  PagedQueue<Pending> pend;
+  std::uint32_t front_seq = 0;  ///< seq of pend[0]
   std::uint64_t emitted = 0;
   std::size_t sweep_trigger = 0;
   Time read_ts = -kTimeInfinity;  ///< read frontier (max local_ts read)
   std::uint64_t base = 0;         ///< rank's first slot in the ts side file
-
-  // Sweep scratch, reused across sweeps.
-  std::vector<double> val;
-  std::vector<char> fin;
 
   bool read_eof() const { return next_chunk >= chunks.size(); }
   bool done() const { return read_eof() && ahead.empty(); }
@@ -116,7 +197,8 @@ class StreamEngine {
     CS_REQUIRE(opts_.backward_window > 0.0, "backward_window must be positive");
     CS_REQUIRE(opts_.emit_batch > 0, "emit_batch must be positive");
 
-    ranks_.resize(static_cast<std::size_t>(index_.meta.ranks()));
+    ranks_.reserve(static_cast<std::size_t>(index_.meta.ranks()));
+    for (Rank r = 0; r < index_.meta.ranks(); ++r) ranks_.emplace_back(ahead_pages_, pend_pages_);
     for (std::uint32_t c = 0; c < index_.chunks.size(); ++c) {
       ranks_[static_cast<std::size_t>(index_.chunks[c].rank)].chunks.push_back(c);
     }
@@ -180,6 +262,7 @@ class StreamEngine {
       static obs::Counter& repaired = obs::counter("clc.violations_repaired");
       events.add(static_cast<std::int64_t>(stats_.events));
       repaired.add(static_cast<std::int64_t>(stats_.violations_repaired));
+      publish_gauges();
     }
 
     return stats_;
@@ -218,19 +301,47 @@ class StreamEngine {
     for (const Event& e : block_.events) {
       register_event(pick, e);
       rs.read_ts = std::max(rs.read_ts, e.local_ts);
-      rs.ahead.push_back(e);
+      const bool coll = e.type == EventType::CollBegin || e.type == EventType::CollEnd;
+      rs.ahead.push_back({e.local_ts, coll ? e.coll_id : e.msg_id, e.type});
+    }
+    // Registration only ever adds entries, so the chunk's high-water is the
+    // size after its last event.
+    if (!block_.events.empty()) {
+      stats_.peak_outstanding_msgs = std::max(stats_.peak_outstanding_msgs, msgs_.size());
     }
     resident_ += block_.events.size();
     stats_.peak_resident_events = std::max(stats_.peak_resident_events, resident_);
     update_read_frontier();
     maybe_spill_msgs();
     closure_scan();
+    if (obs::metrics_enabled()) publish_gauges();
+  }
+
+  /// Live engine state as registry gauges, refreshed once per chunk read and
+  /// once at the end of the run.
+  void publish_gauges() {
+    static obs::Gauge& resident = obs::gauge("clc.stream.resident_events");
+    static obs::Gauge& outstanding = obs::gauge("clc.stream.outstanding_msgs");
+    static obs::Gauge& peak_resident = obs::gauge("clc.stream.peak_resident_events");
+    static obs::Gauge& peak_outstanding = obs::gauge("clc.stream.peak_outstanding_msgs");
+    static obs::Gauge& spilled = obs::gauge("clc.stream.spilled_msgs");
+    static obs::Gauge& ramp_clamped = obs::gauge("clc.stream.ramp_clamped");
+    static obs::Gauge& horizon_dropped = obs::gauge("clc.stream.horizon_dropped");
+    static obs::Gauge& forced = obs::gauge("clc.stream.forced");
+    resident.set(static_cast<double>(resident_));
+    outstanding.set(static_cast<double>(msgs_.size()));
+    peak_resident.set(static_cast<double>(stats_.peak_resident_events));
+    peak_outstanding.set(static_cast<double>(stats_.peak_outstanding_msgs));
+    spilled.set(static_cast<double>(stats_.spilled_msgs));
+    ramp_clamped.set(static_cast<double>(stats_.ramp_clamped));
+    horizon_dropped.set(static_cast<double>(stats_.horizon_dropped));
+    forced.set(static_cast<double>(stats_.forced));
   }
 
   void register_event(Rank r, const Event& e) {
     switch (e.type) {
       case EventType::Send: {
-        MsgState& m = msgs_[e.msg_id];
+        MsgState& m = *msgs_.insert(e.msg_id).first;
         if (m.recv_dropped) ++stats_.horizon_dropped;  // edge already abandoned
         m.send_registered = true;
         m.send_ts = e.local_ts;
@@ -238,7 +349,7 @@ class StreamEngine {
         break;
       }
       case EventType::Recv:
-        msgs_[e.msg_id].recv_registered = true;
+        msgs_.insert(e.msg_id).first->recv_registered = true;
         break;
       case EventType::CollBegin:
       case EventType::CollEnd: {
@@ -257,7 +368,6 @@ class StreamEngine {
       default:
         break;
     }
-    stats_.peak_outstanding_msgs = std::max(stats_.peak_outstanding_msgs, msgs_.size());
   }
 
   void closure_scan() {
@@ -309,8 +419,10 @@ class StreamEngine {
       progress = false;
       for (Rank r = 0; r < index_.meta.ranks(); ++r) {
         RankState& rs = ranks_[static_cast<std::size_t>(r)];
-        while (!rs.ahead.empty() && head_processable(r, rs.ahead.front())) {
-          process_head(r, /*force=*/false);
+        while (!rs.ahead.empty()) {
+          MsgState* m = nullptr;
+          if (!head_processable(r, rs.ahead.front(), m)) break;
+          process_head(r, m, /*force=*/false);
           progress = true;
           drained_something_ = true;
         }
@@ -324,26 +436,30 @@ class StreamEngine {
     for (Rank r = 0; r < index_.meta.ranks(); ++r) {
       const RankState& rs = ranks_[static_cast<std::size_t>(r)];
       if (rs.ahead.empty()) continue;
-      if (pick < 0 || rs.ahead.front().local_ts < lowest) {
+      if (pick < 0 || rs.ahead.front().ts < lowest) {
         pick = r;
-        lowest = rs.ahead.front().local_ts;
+        lowest = rs.ahead.front().ts;
       }
     }
     CS_ENSURE(pick >= 0, "force_one called with nothing left to process");
-    process_head(pick, /*force=*/true);
+    const AheadEvent& e = ranks_[static_cast<std::size_t>(pick)].ahead.front();
+    process_head(pick, e.type == EventType::Recv ? msgs_find(e.id) : nullptr,
+                 /*force=*/true);
     ++stats_.forced;
   }
 
-  bool head_processable(Rank r, const Event& e) {
+  /// For a receive, also hands its message entry (or nullptr) to `m`, so
+  /// processing it takes no second lookup.
+  bool head_processable(Rank r, const AheadEvent& e, MsgState*& m) {
     switch (e.type) {
       case EventType::Recv: {
-        const MsgState* m = msgs_find(e.msg_id);
+        m = msgs_find(e.id);
         if (m != nullptr && m->send_processed) return true;
         if (m != nullptr && m->send_registered) return false;  // send is coming
-        return all_read_eof_ || read_low_ > e.local_ts + opts_.horizon;
+        return all_read_eof_ || read_low_ > e.ts + opts_.horizon;
       }
       case EventType::CollEnd: {
-        auto it = colls_.find(e.coll_id);
+        auto it = colls_.find(e.id);
         if (it == colls_.end()) return true;  // retired instance straggler
         const CollInst& inst = it->second;
         switch (flavor_of(inst.kind)) {
@@ -366,13 +482,15 @@ class StreamEngine {
     }
   }
 
-  void process_head(Rank r, bool force) {
+  /// Processes the head event of rank `r`; for a receive, `m` is its message
+  /// entry as msgs_find() returned it.
+  void process_head(Rank r, MsgState* m, bool force) {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    const Event e = rs.ahead.front();
-    rs.ahead.pop_front();
+    const AheadEvent e = rs.ahead.front();
+    rs.ahead.pop_front(1);
 
     // Forward amortization, exactly as clc_detail::forward_pass.
-    const Time t = e.local_ts;
+    const Time t = e.ts;
     Time cand = t;
     if (rs.has_prev) {
       const Duration dt = std::max(0.0, t - rs.prev_input);
@@ -385,10 +503,9 @@ class StreamEngine {
     Pending p;
     p.ts = t;
     CollInst* inst = nullptr;
-    const MsgState* send = nullptr;
+    MsgState* send = nullptr;
     switch (e.type) {
       case EventType::Recv: {
-        MsgState* m = msgs_find(e.msg_id);
         if (m != nullptr && m->send_processed) {
           const Duration l_min = index_.meta.min_latency(m->send_rank, r);
           bound = m->send_lc + l_min;
@@ -399,34 +516,34 @@ class StreamEngine {
           // must neither expect a cap nor hold its emission for one.
           m->recv_dropped = true;
         } else if (!all_read_eof_) {
-          msgs_[e.msg_id].recv_dropped = true;
+          msgs_.insert(e.id).first->recv_dropped = true;
         }
         break;
       }
       case EventType::Send: {
-        MsgState& m = msgs_[e.msg_id];
-        m.send_registered = true;  // forced paths may reach here unregistered
-        m.send_rank = r;
-        m.send_ts = t;
-        m.send_seq = rs.seq;
+        m = msgs_.insert(e.id).first;
+        m->send_registered = true;  // forced paths may reach here unregistered
+        m->send_rank = r;
+        m->send_ts = t;
+        m->send_seq = rs.seq;
         p.is_send = true;
-        p.id = e.msg_id;
+        p.id = e.id;
         // The receive will cap this send's backward motion; hold until the
         // cap arrives (or the horizon proves no receive is coming).
-        p.holds = (m.recv_registered || !all_read_eof_) && !m.recv_dropped ? 1 : 0;
+        p.holds = (m->recv_registered || !all_read_eof_) && !m->recv_dropped ? 1 : 0;
         break;
       }
       case EventType::CollBegin: {
-        auto it = colls_.find(e.coll_id);
+        auto it = colls_.find(e.id);
         if (it != colls_.end()) {
           inst = &it->second;
           p.holds = 1;  // released when the instance's edges are all applied
-          p.id = e.coll_id;
+          p.id = e.id;
         }
         break;
       }
       case EventType::CollEnd: {
-        auto it = colls_.find(e.coll_id);
+        auto it = colls_.find(e.id);
         if (it != colls_.end()) {
           inst = &it->second;
           if (inst->closed && !force && !instance_partial(*inst)) {
@@ -459,12 +576,11 @@ class StreamEngine {
       const Duration l_min = index_.meta.min_latency(send->send_rank, r);
       cap_apply(send->send_rank, send->send_seq, lc - l_min - kFpMargin);
       hold_release(send->send_rank, send->send_seq);
-      msgs_erase(e.msg_id);
+      msgs_erase(send);
     }
     if (e.type == EventType::Send) {
-      MsgState& m = msgs_[e.msg_id];
-      m.send_lc = lc;
-      m.send_processed = true;
+      m->send_lc = lc;
+      m->send_processed = true;
     }
     if (e.type == EventType::CollBegin && inst != nullptr) {
       inst->begins.push_back({r, rs.seq, lc});
@@ -476,7 +592,7 @@ class StreamEngine {
       ++inst->ends_processed;
       if (inst->closed && instance_done(*inst)) {
         release_instance(*inst);
-        colls_.erase(e.coll_id);
+        colls_.erase(e.id);
       }
     }
 
@@ -605,52 +721,55 @@ class StreamEngine {
     // the horizon: no receive can legitimately appear anymore, so the
     // backward hold is released and only the compact send record is kept on
     // disk in case a (contract-breaking) receive shows up after all.
-    for (auto it = msgs_.begin(); it != msgs_.end();) {
-      const MsgState& m = it->second;
-      if (m.send_processed && !m.recv_registered && !m.recv_dropped &&
-          read_low_ > m.send_ts + opts_.horizon) {
-        hold_release(m.send_rank, m.send_seq);
-        SpillRecord rec{it->first, m.send_ts, m.send_lc, m.send_rank, m.send_seq};
-        msg_spill_.seekp(0, std::ios::end);
-        const auto off = static_cast<std::uint64_t>(msg_spill_.tellp());
-        msg_spill_.write(reinterpret_cast<const char*>(&rec), sizeof rec);
-        if (!msg_spill_.good()) {
-          throw TraceIoError(TraceIoErrorKind::Io, "spill write failed: " + msg_spill_path_);
-        }
-        spill_index_[it->first] = off;
-        ++stats_.spilled_msgs;
-        it = msgs_.erase(it);
-      } else {
-        ++it;
+    msgs_.erase_if([&](const MsgState& m) {
+      if (!m.send_processed || m.recv_registered || m.recv_dropped ||
+          read_low_ <= m.send_ts + opts_.horizon) {
+        return false;
       }
-    }
+      hold_release(m.send_rank, m.send_seq);
+      SpillRecord rec{m.id, m.send_ts, m.send_lc, m.send_rank, m.send_seq};
+      msg_spill_.seekp(0, std::ios::end);
+      const auto off = static_cast<std::uint64_t>(msg_spill_.tellp());
+      msg_spill_.write(reinterpret_cast<const char*>(&rec), sizeof rec);
+      if (!msg_spill_.good()) {
+        throw TraceIoError(TraceIoErrorKind::Io, "spill write failed: " + msg_spill_path_);
+      }
+      spill_index_.insert(m.id).first->offset = off;
+      ++stats_.spilled_msgs;
+      return true;
+    });
   }
 
+  /// The message entry of `id`, reloaded from the spill file when it was
+  /// spilled; nullptr when there is none.
   MsgState* msgs_find(std::int64_t id) {
-    auto it = msgs_.find(id);
-    if (it != msgs_.end()) return &it->second;
-    auto sit = spill_index_.find(id);
-    if (sit == spill_index_.end()) return nullptr;
-    msg_spill_.seekg(static_cast<std::streamoff>(sit->second));
+    if (MsgState* m = msgs_.find(id)) return m;
+    if (spill_index_.empty()) return nullptr;
+    SpillSlot* spilled = spill_index_.find(id);
+    if (spilled == nullptr) return nullptr;
+    msg_spill_.seekg(static_cast<std::streamoff>(spilled->offset));
     SpillRecord rec;
     msg_spill_.read(reinterpret_cast<char*>(&rec), sizeof rec);
     if (!msg_spill_.good()) {
       throw TraceIoError(TraceIoErrorKind::Io, "spill read failed: " + msg_spill_path_);
     }
-    spill_index_.erase(sit);
-    MsgState m;
+    spill_index_.erase(spilled);
+    MsgState& m = *msgs_.insert(id).first;
     m.send_ts = rec.send_ts;
     m.send_lc = rec.send_lc;
     m.send_rank = rec.send_rank;
     m.send_seq = rec.send_seq;
     m.send_registered = true;
     m.send_processed = true;
-    return &msgs_.emplace(id, m).first->second;
+    return &m;
   }
 
-  void msgs_erase(std::int64_t id) {
-    msgs_.erase(id);
-    spill_index_.erase(id);
+  /// Retires the entry `m` together with any spilled record of its id.
+  void msgs_erase(MsgState* m) {
+    const std::int64_t id = m->id;
+    msgs_.erase(m);
+    if (spill_index_.empty()) return;
+    if (SpillSlot* spilled = spill_index_.find(id)) spill_index_.erase(spilled);
   }
 
   // -- backward amortization & emission ---------------------------------------
@@ -678,14 +797,14 @@ class StreamEngine {
     if (n == 0) return;
     CS_SPAN("clc.stream.sweep");
 
-    rs.val.resize(n);
-    rs.fin.resize(n);
+    val_.resize(n);
+    fin_.resize(n);
     const bool rank_final = rs.done();
 
     if (!opts_.clc.backward_amortization) {
       for (std::size_t i = 0; i < n; ++i) {
-        rs.val[i] = rs.pend[i].lc;
-        rs.fin[i] = 1;
+        val_[i] = rs.pend[i].lc;
+        fin_[i] = 1;
       }
     } else {
       const double slope = opts_.clc.backward_slope;
@@ -714,8 +833,8 @@ class StreamEngine {
           jump_at = p.lc;
           jump_size = p.jump;
           window = std::min(jump_size / slope, B);
-          rs.val[i] = p.lc;
-          rs.fin[i] = 1;
+          val_[i] = p.lc;
+          fin_[i] = 1;
           succ_est = std::min(succ_est, p.lc);
           succ_lb = std::min(succ_lb, p.lc);
           continue;
@@ -743,8 +862,8 @@ class StreamEngine {
           final_entry =
               b_safe && p.holds == 0 && (uncapped <= succ_lb || suffix_exact);
         }
-        rs.val[i] = v;
-        rs.fin[i] = final_entry ? 1 : 0;
+        val_[i] = v;
+        fin_[i] = final_entry ? 1 : 0;
         suffix_exact = suffix_exact && final_entry;
         succ_est = std::min(succ_est, v);
         succ_lb = std::min(succ_lb, final_entry ? v : p.lc);
@@ -752,14 +871,14 @@ class StreamEngine {
     }
 
     std::size_t k = 0;
-    while (k < n && rs.fin[k]) ++k;
+    while (k < n && fin_[k]) ++k;
     if (k > 0) {
       // Records are (corrected_ts, jump) pairs: the jump rides along so the
       // merge pass can fold total_jump in global (rank-major) order, giving
       // the exact same floating-point accumulation as finalize_stats.
       emit_buf_.resize(2 * k);
       for (std::size_t i = 0; i < k; ++i) {
-        emit_buf_[2 * i] = rs.val[i];
+        emit_buf_[2 * i] = val_[i];
         emit_buf_[2 * i + 1] = rs.pend[i].jump;
       }
       ts_spill_.seekp(static_cast<std::streamoff>((rs.base + rs.emitted) * 16));
@@ -768,7 +887,7 @@ class StreamEngine {
       if (!ts_spill_.good()) {
         throw TraceIoError(TraceIoErrorKind::Io, "spill write failed: " + ts_spill_path_);
       }
-      rs.pend.erase(rs.pend.begin(), rs.pend.begin() + static_cast<std::ptrdiff_t>(k));
+      rs.pend.pop_front(k);
       rs.front_seq += static_cast<std::uint32_t>(k);
       rs.emitted += k;
       resident_ -= k;
@@ -803,7 +922,7 @@ class StreamEngine {
           opts_.events_per_chunk > 0 ? opts_.events_per_chunk : kDefaultEventsPerChunk;
       TraceWriter writer(outf, index_.meta, epc);
       ChunkReader merge_reader(raw_in, index_);
-      EventBlock block;
+      EventBlock& block = block_;  // the window is drained: reuse the read buffer
       std::vector<double> vals;
       // File order is rank-major (the writer enforces it), so this fold over
       // the per-event jumps reproduces finalize_stats' accumulation exactly.
@@ -844,11 +963,16 @@ class StreamEngine {
   std::string msg_spill_path_;
   std::fstream ts_spill_;
   std::fstream msg_spill_;
+  PagePool<AheadEvent> ahead_pages_;
+  PagePool<Pending> pend_pages_;
   std::vector<RankState> ranks_;
-  std::unordered_map<std::int64_t, MsgState> msgs_;
-  std::unordered_map<std::int64_t, std::uint64_t> spill_index_;
+  IdTable<MsgState> msgs_;
+  IdTable<SpillSlot> spill_index_;
   std::unordered_map<std::int64_t, CollInst> colls_;
   EventBlock block_;
+  // Sweep scratch, shared by the ranks (sweeps never nest).
+  std::vector<double> val_;
+  std::vector<char> fin_;
   std::vector<double> emit_buf_;
   StreamClcStats stats_;
   Time read_low_ = kTimeInfinity;

@@ -6,15 +6,25 @@
 // not fit that budget, so this variant consumes a v2 trace file chunk by
 // chunk and keeps only a sliding window resident:
 //
-//   * one read-ahead chunk queue per rank (events read but not processed),
-//   * the forward-pass scalar state per rank,
-//   * the outstanding message/collective pairing backlog (half-open edges),
-//   * a bounded retention deque per rank of processed-but-unemitted events
-//     over which backward amortization is re-swept before emission.
+//   * one read-ahead queue per rank (events read but not processed), 24
+//     bytes per event: timestamp, type and message or collective id;
+//   * the forward-pass scalar state per rank;
+//   * the outstanding message pairing backlog in an open-addressing IdTable
+//     (40-byte slots, one probe per endpoint; common/id_table.hpp) and the
+//     collective instances;
+//   * a retention queue per rank of processed-but-unemitted events (48
+//     bytes each) over which backward amortization is re-swept before
+//     emission.
 //
-// Corrected timestamps stream to an on-disk side file as they become final
-// and are merged into a sealed v2 output in one last pass, so peak RSS is
-// bounded by window size plus edge backlog — never by trace length.
+// Both per-rank queues live on fixed-size pages that the ranks share and
+// recycle, so the window allocates its high-water once: on an 8-rank
+// 2.5*10^6-event sweep a run allocates about 5 bytes per event in total,
+// against 144 for node-based queues and maps.  The window's size follows the
+// horizon, `emit_batch` (retention per rank between sweeps) and the input's
+// chunk size.  Corrected timestamps stream to an on-disk side file as they
+// become final and are merged into a sealed v2 output in one last pass, so
+// peak RSS is bounded by window size plus edge backlog — never by trace
+// length.
 //
 // -- Equivalence contract -----------------------------------------------------
 //
@@ -63,7 +73,8 @@ struct StreamClcOptions {
   /// are independent of batching.
   std::size_t emit_batch = 4096;
   /// In-memory message-table high-water before processed half-open entries
-  /// (sends still awaiting their receive) spill to the on-disk side file.
+  /// (sends still awaiting their receive, past the horizon) spill to the
+  /// on-disk side file.
   std::size_t max_outstanding_msgs = std::size_t{1} << 20;
   /// Chunk size of the corrected output trace.
   std::size_t events_per_chunk = 0;  ///< 0 = kDefaultEventsPerChunk
@@ -89,6 +100,11 @@ struct StreamClcStats {
 
 /// Corrects `in_path` (a sealed v2 trace) into `out_path` (v2, same events
 /// with local_ts replaced by the corrected timestamps; true_ts preserved).
+/// With observability at metrics level or above, the engine state is
+/// published once per chunk read and once at the end as registry gauges:
+/// clc.stream.{resident_events, outstanding_msgs} (current) and
+/// clc.stream.{peak_resident_events, peak_outstanding_msgs, spilled_msgs,
+/// ramp_clamped, horizon_dropped, forced} (the StreamClcStats fields so far).
 /// The output is written to a temporary file and atomically renamed on
 /// success, so a crash or thrown error never leaves a silently truncated
 /// trace at `out_path`.  Throws TraceIoError on any input defect — including

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "../testutil/random_trace.hpp"
 #include "analysis/clock_condition.hpp"
+#include "common/id_table.hpp"
 #include "topology/cluster.hpp"
 #include "trace/io_util.hpp"
 #include "trace/otf_text.hpp"
@@ -208,6 +214,140 @@ TEST(ClockConditionStream, DuplicateRootEventsAgreeWithInMemory) {
   expect_reports_equal(streamed, in_memory);
   // Pins first-match: the late duplicates would yield zero reversed edges.
   EXPECT_EQ(streamed.logical_reversed, 4u);
+}
+
+/// Rewrites the msg_id of every Send/Recv of `t` to `to_id(v)`, where v
+/// names one of `per_rank` ids owned by a rank: a send takes an id of its own
+/// rank, a receive one of another rank (or of no rank, which stays
+/// half-open).  Ids repeat freely, but a send never pairs with a receive of
+/// its own rank, which has no latency.
+template <class F>
+void remap_ids(Trace& t, Rng& rng, std::int64_t per_rank, F to_id) {
+  for (Rank r = 0; r < t.ranks(); ++r) {
+    for (Event& e : t.events(r)) {
+      if (e.type != EventType::Send && e.type != EventType::Recv) continue;
+      std::int64_t owner = r;
+      if (e.type == EventType::Recv) {
+        owner = rng.uniform_int(0, t.ranks() - 1);
+        if (owner == r) owner = t.ranks();
+      }
+      e.msg_id = to_id(static_cast<std::uint64_t>(owner * per_rank +
+                                                  rng.uniform_int(0, per_rank - 1)));
+    }
+  }
+}
+
+/// The backlog high-water of the online last-wins rule, replayed over the
+/// trace's rank-major order with a std::map.
+std::size_t reference_peak_backlog(const Trace& t) {
+  std::map<std::int64_t, bool> half_open;  // id -> the waiting side is a send
+  std::size_t peak = 0;
+  for (Rank r = 0; r < t.ranks(); ++r) {
+    for (const Event& e : t.events(r)) {
+      if (e.type != EventType::Send && e.type != EventType::Recv) continue;
+      const bool is_send = e.type == EventType::Send;
+      auto it = half_open.find(e.msg_id);
+      if (it != half_open.end() && it->second != is_send) {
+        half_open.erase(it);
+        continue;
+      }
+      half_open[e.msg_id] = is_send;
+      peak = std::max(peak, half_open.size());
+    }
+  }
+  return peak;
+}
+
+/// scan_clock_condition against check_clock_condition, bit for bit, plus
+/// the scanner's backlog high-water against the std::map replay.
+void expect_scan_equals_in_memory(const Trace& t, const std::string& what) {
+  std::stringstream buf;
+  write_trace_v2(t, buf, /*events_per_chunk=*/7);
+  TraceReader reader(buf);
+  ScanStats stats;
+  const auto got = scan_clock_condition(reader, &stats);
+  const auto want = check_clock_condition(t, TimestampArray::from_local(t));
+  EXPECT_EQ(got.p2p_messages, want.p2p_messages) << what;
+  EXPECT_EQ(got.p2p_reversed, want.p2p_reversed) << what;
+  EXPECT_EQ(got.p2p_violations, want.p2p_violations) << what;
+  EXPECT_TRUE(testutil::same_bits(got.p2p_worst, want.p2p_worst)) << what;
+  EXPECT_EQ(got.logical_messages, want.logical_messages) << what;
+  EXPECT_EQ(got.logical_reversed, want.logical_reversed) << what;
+  EXPECT_EQ(got.logical_violations, want.logical_violations) << what;
+  EXPECT_TRUE(testutil::same_bits(got.logical_worst, want.logical_worst)) << what;
+  EXPECT_EQ(got.total_events, want.total_events) << what;
+  EXPECT_EQ(got.message_events, want.message_events) << what;
+  EXPECT_EQ(stats.peak_outstanding_messages, reference_peak_backlog(t)) << what;
+}
+
+/// An id whose hashed value is `(top << 40) | low`, so ids with one `top`
+/// share a home slot in any message table of up to 2^24 slots.
+std::int64_t id_on_chain(std::uint64_t top, std::uint64_t low) {
+  std::uint64_t inv = kIdHashMultiplier;  // Newton: inverse mod 2^64
+  for (int i = 0; i < 5; ++i) inv *= 2 - kIdHashMultiplier * inv;
+  return static_cast<std::int64_t>(((top << 40) | low) * inv);
+}
+
+TEST(ClockConditionStream, EqualsInMemoryOnRemappedRandomTraces) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  bool saw_reuse = false;
+  bool saw_half_open = false;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const std::string tag = "seed " + std::to_string(seed);
+    Rng rng(seed ^ 0x5bd1e995ULL);
+
+    const Trace plain = testutil::random_trace(seed);
+    expect_scan_equals_in_memory(plain, tag + " (generated ids)");
+    const auto plain_rep = check_clock_condition(plain, TimestampArray::from_local(plain));
+    std::size_t endpoints = 0;
+    for (Rank r = 0; r < plain.ranks(); ++r) {
+      for (const Event& e : plain.events(r)) {
+        endpoints += e.type == EventType::Send || e.type == EventType::Recv;
+      }
+    }
+    saw_half_open |= 2 * plain_rep.p2p_messages < endpoints;
+
+    // Two ids per rank: duplicates overwrite while half-open, and ids come
+    // back after their pair completed.
+    Trace pooled = plain;
+    remap_ids(pooled, rng, 2, [](std::uint64_t v) { return static_cast<std::int64_t>(v); });
+    expect_scan_equals_in_memory(pooled, tag + " (two ids per rank)");
+    saw_reuse |= check_clock_condition(pooled, TimestampArray::from_local(pooled)).p2p_messages >
+                 2 * static_cast<std::size_t>(pooled.ranks());
+
+    // Ids at both int64 ends and around zero.
+    Trace extreme = plain;
+    remap_ids(extreme, rng, 3, [&](std::uint64_t v) {
+      const auto k = static_cast<std::int64_t>(v / 3);
+      return v % 3 == 0 ? kMin + k : v % 3 == 1 ? kMax - k : k - 2;
+    });
+    expect_scan_equals_in_memory(extreme, tag + " (int64 ends)");
+
+    // Every id on one probe chain: the generated pairing structure, and
+    // three ids per rank.
+    Trace chained = plain;
+    std::map<std::int64_t, std::uint64_t> index;
+    for (Rank r = 0; r < chained.ranks(); ++r) {
+      for (Event& e : chained.events(r)) {
+        if (e.type != EventType::Send && e.type != EventType::Recv) continue;
+        e.msg_id = id_on_chain(seed % 8, index.emplace(e.msg_id, index.size()).first->second);
+      }
+    }
+    expect_scan_equals_in_memory(chained, tag + " (generated ids on one probe chain)");
+    Trace chained_pool = plain;
+    remap_ids(chained_pool, rng, 3, [&](std::uint64_t v) { return id_on_chain(seed % 8, v); });
+    expect_scan_equals_in_memory(chained_pool, tag + " (pooled ids on one probe chain)");
+
+    // Arbitrary 64-bit ids, four per rank.
+    std::vector<std::int64_t> wide_ids;
+    for (int i = 0; i < 4 * 7; ++i) wide_ids.push_back(static_cast<std::int64_t>(rng.next()));
+    Trace wide = plain;
+    remap_ids(wide, rng, 4, [&](std::uint64_t v) { return wide_ids[v]; });
+    expect_scan_equals_in_memory(wide, tag + " (full-range ids)");
+  }
+  EXPECT_TRUE(saw_reuse) << "no trace reused an id after its pair completed";
+  EXPECT_TRUE(saw_half_open) << "no trace left a half-open endpoint";
 }
 
 TEST(ClockConditionStream, MissingFileThrowsIoError) {

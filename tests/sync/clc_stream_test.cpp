@@ -9,6 +9,9 @@
 
 #include "../testutil/random_trace.hpp"
 #include "analysis/clock_condition_stream.hpp"
+#include "benchkit/metrics.hpp"
+#include "obs/obs.hpp"
+#include "obs/registry.hpp"
 #include "sync/clc.hpp"
 #include "sync/replay.hpp"
 #include "topology/cluster.hpp"
@@ -30,6 +33,20 @@ Trace sweep_fixture(std::uint64_t seed, int rounds = 30) {
   job.timer = timer_specs::intel_tsc();
   job.seed = seed;
   return run_sweep(cfg, std::move(job)).trace;
+}
+
+/// Turns every fifth receive into a local event: its send stays half-open
+/// for good, which is what the message table spills.
+void drop_every_fifth_receive(Trace& t) {
+  std::size_t receives = 0;
+  for (Rank r = 0; r < t.ranks(); ++r) {
+    for (Event& e : t.events(r)) {
+      if (e.type != EventType::Recv || receives++ % 5 != 0) continue;
+      e.type = EventType::Enter;
+      e.msg_id = -1;
+      e.peer = -1;
+    }
+  }
 }
 
 ClcResult in_memory_clc(const Trace& t, const ClcOptions& opt) {
@@ -143,6 +160,103 @@ TEST(ClcStream, ClampedRampStillRepairsEveryViolation) {
   const auto rep = scan_clock_condition_file(out_path);
   EXPECT_EQ(rep.p2p_violations, 0u);
   EXPECT_EQ(rep.logical_violations, 0u);
+  std::remove(in_path.c_str());
+  std::remove(out_path.c_str());
+}
+
+TEST(ClcStream, SpilledMessagesStayBitIdentical) {
+  // Once the read frontier is a horizon past a send whose receive never
+  // comes, the message table (capped at four entries) moves it to the spill
+  // file and releases its hold.  That must not change a single output bit.
+  SweepConfig cfg;
+  cfg.rounds = 300;
+  cfg.gap_mean = 10e-3;
+  JobConfig job;
+  job.placement = pinning::inter_node(clusters::xeon_rwth(), 4);
+  job.timer = timer_specs::mpi_wtime();
+  job.seed = 5;  // 232 spilled messages, 488 repairs
+  Trace trace = run_sweep(cfg, std::move(job)).trace;
+  drop_every_fifth_receive(trace);
+  const std::string in_path = testing::TempDir() + "/cs_clcstream_spill_in.cstr";
+  const std::string out_path = testing::TempDir() + "/cs_clcstream_spill_out.cstr";
+  write_trace_v2_file(trace, in_path, /*events_per_chunk=*/64);
+
+  StreamClcOptions opt;
+  opt.horizon = 0.5;
+  opt.backward_window = 100.0;
+  opt.max_outstanding_msgs = 4;
+  const StreamClcStats stats = clc_stream_file(in_path, out_path, opt);
+  EXPECT_GT(stats.spilled_msgs, 0u);
+  EXPECT_GT(stats.violations_repaired, 0u);
+  expect_bit_identical(trace, out_path, stats, in_memory_clc(trace, opt.clc));
+  std::remove(in_path.c_str());
+  std::remove(out_path.c_str());
+}
+
+TEST(ClcStream, AllocatesAtMost32BytesPerEvent) {
+  // A 52-minute sweep (the paper's long-run regime) of about 10^5 events.
+  // The window is allocated once and reused, so what is left per event is
+  // the fixed cost of the window, the index and the output writer spread
+  // over the trace.  A copy per read-ahead event and a node per retained
+  // event or message cost about 160 bytes per event.
+  SweepConfig cfg;
+  cfg.rounds = 6250;
+  cfg.gap_mean = 0.5;
+  cfg.collective_every = 50;
+  JobConfig job;
+  job.placement = pinning::inter_node(clusters::xeon_rwth(), 4);
+  job.timer = timer_specs::mpi_wtime();
+  job.seed = 1;
+  const Trace trace = run_sweep(cfg, std::move(job)).trace;
+  const std::string in_path = testing::TempDir() + "/cs_clcstream_alloc_in.cstr";
+  const std::string out_path = testing::TempDir() + "/cs_clcstream_alloc_out.cstr";
+  write_trace_v2_file(trace, in_path, /*events_per_chunk=*/512);
+
+  const std::uint64_t before = benchkit::allocation_totals().bytes;
+  const StreamClcStats stats = clc_stream_file(in_path, out_path, {});
+  const std::uint64_t bytes = benchkit::allocation_totals().bytes - before;
+  ASSERT_GT(stats.events, 90000u);
+  EXPECT_LT(stats.peak_resident_events, stats.events / 4) << "the window must be a small part";
+  const double per_event = static_cast<double>(bytes) / static_cast<double>(stats.events);
+  EXPECT_LE(per_event, 32.0) << bytes << " bytes allocated for " << stats.events << " events";
+  std::remove(in_path.c_str());
+  std::remove(out_path.c_str());
+}
+
+TEST(ClcStream, GaugesMirrorTheFinalStats) {
+  // Both runs move the divergence and spill counters off zero: a tiny
+  // backward window clamps ramps, and a four-entry message table spills.
+  Trace trace = sweep_fixture(3, /*rounds=*/40);
+  drop_every_fifth_receive(trace);
+  const std::string in_path = testing::TempDir() + "/cs_clcstream_gauge_in.cstr";
+  const std::string out_path = testing::TempDir() + "/cs_clcstream_gauge_out.cstr";
+  write_trace_v2_file(trace, in_path, /*events_per_chunk=*/32);
+
+  StreamClcOptions clamped;
+  clamped.backward_window = 1e-9;
+  clamped.emit_batch = 16;
+  StreamClcOptions spilling;
+  spilling.horizon = 1e-3;
+  spilling.max_outstanding_msgs = 4;
+  const obs::Level saved = obs::level();
+  obs::set_level(obs::Level::Metrics);
+  for (const StreamClcOptions* opt : {&clamped, &spilling}) {
+    const StreamClcStats stats = clc_stream_file(in_path, out_path, *opt);
+    EXPECT_GT(opt == &clamped ? stats.ramp_clamped : stats.spilled_msgs, 0u);
+    auto gauge = [](const char* name) { return obs::gauge(name).value(); };
+    EXPECT_EQ(gauge("clc.stream.resident_events"), 0.0) << "the window drains";
+    EXPECT_LE(gauge("clc.stream.outstanding_msgs"),
+              static_cast<double>(stats.peak_outstanding_msgs));
+    EXPECT_EQ(gauge("clc.stream.peak_resident_events"),
+              static_cast<double>(stats.peak_resident_events));
+    EXPECT_EQ(gauge("clc.stream.peak_outstanding_msgs"),
+              static_cast<double>(stats.peak_outstanding_msgs));
+    EXPECT_EQ(gauge("clc.stream.spilled_msgs"), static_cast<double>(stats.spilled_msgs));
+    EXPECT_EQ(gauge("clc.stream.ramp_clamped"), static_cast<double>(stats.ramp_clamped));
+    EXPECT_EQ(gauge("clc.stream.horizon_dropped"), static_cast<double>(stats.horizon_dropped));
+    EXPECT_EQ(gauge("clc.stream.forced"), static_cast<double>(stats.forced));
+  }
+  obs::set_level(saved);
   std::remove(in_path.c_str());
   std::remove(out_path.c_str());
 }
