@@ -72,7 +72,38 @@ CrcFn select_crc32c() {
   return detail::crc32c_portable;
 }
 
+/// a(x) * b(x) mod P(x) in the reflected bit order (bit 31 is x^0), as in
+/// zlib's crc32_combine.  `a` must be nonzero.
+std::uint32_t mult_mod_p(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t m = 1u << 31;
+  std::uint32_t prod = 0;
+  for (;;) {
+    if (a & m) {
+      prod ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1u) ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return prod;
+}
+
 }  // namespace
+
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b, std::uint64_t len_b) {
+  // Appending B to A shifts A's register by 8 * len_b bit positions, i.e.
+  // multiplies it by x^(8 len_b) mod P; the init/final inversions cancel out.
+  // Square-and-multiply over the bits of len_b.  (zlib's table of x^(2^k)
+  // reused modulo 32 entries does not carry over: for this polynomial
+  // x^(2^32) is not x.)
+  std::uint32_t shift = 1u << 31;   // x^0
+  std::uint32_t square = 1u << 23;  // x^8: one byte
+  for (; len_b != 0; len_b >>= 1) {
+    if (len_b & 1u) shift = mult_mod_p(square, shift);
+    square = mult_mod_p(square, square);
+  }
+  return mult_mod_p(shift, crc_a) ^ crc_b;
+}
 
 std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t n) {
   static const CrcFn impl = select_crc32c();

@@ -16,4 +16,10 @@ namespace chronosync {
 ///   crc32c(crc32c(0, a, na), b, nb) == crc32c(0, ab, na + nb).
 std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t n);
 
+/// The CRC32C of the concatenation AB from crc_a = crc32c(0, A), crc_b =
+/// crc32c(0, B) and len_b = |B|, without touching the bytes:
+///   crc32c_combine(crc32c(0, a, na), crc32c(0, b, nb), nb) == crc32c(0, ab, na + nb).
+/// Costs O(log len_b) carry-less multiplications modulo the polynomial.
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b, std::uint64_t len_b);
+
 }  // namespace chronosync

@@ -25,7 +25,7 @@ namespace {
 // Work is partitioned by *contiguous* CSR rank ranges: thread t owns ranks
 // [rank_lo, rank_hi) chosen so every thread carries a near-equal share of the
 // event total.  Because global event numbering is rank-major, each thread
-// then reads and writes one contiguous slice of the flat lc[]/jump[]/input
+// then reads and writes one contiguous slice of the flat lc[]/input
 // arrays — the Eq.-1 edge scan and the amortization updates stream linearly
 // through memory, and cross-thread false sharing is confined to the single
 // cache line at each partition boundary.  Ownership tests reduce to one
@@ -65,21 +65,21 @@ struct alignas(64) Doorbell {
 };
 
 struct SharedState {
-  // Structure-of-arrays event state, indexed by global event index: the
-  // corrected timestamps and jump sizes live in two parallel flat arrays
-  // sliced contiguously per thread.  (The input timestamps stay in the
-  // TimestampArray's per-rank rows — each row is already contiguous, each
+  // The corrected timestamps live in one flat array indexed by global event
+  // index and sliced contiguously per thread.  (The input timestamps stay in
+  // the TimestampArray's per-rank rows — each row is already contiguous, each
   // value is read exactly once, and flattening them up front was measured to
-  // cost more than it saves.)
+  // cost more than it saves.)  Jumps are rare, so each rank keeps a sparse
+  // list, appended in local order by the rank's owner only.
   std::vector<Time> lc;
-  std::vector<Duration> jump;
+  std::vector<std::vector<clc_detail::Jump>> rank_jumps;
   std::vector<RankProgress> progress;  // one epoch counter per rank
   std::vector<Doorbell> doorbell;      // one per worker thread
   // subscribers[x]: worker threads owning a rank constrained by rank x.
   std::vector<std::vector<int>> subscribers;
 
   SharedState(std::size_t events, std::size_t ranks, std::size_t threads)
-      : lc(events, 0.0), jump(events, 0.0), progress(ranks), doorbell(threads) {}
+      : lc(events, 0.0), rank_jumps(ranks), progress(ranks), doorbell(threads) {}
 };
 
 struct RankCursor {
@@ -199,6 +199,7 @@ void forward_worker(const ReplaySchedule& schedule, const TimestampArray& input,
       const std::uint32_t n = schedule.rank_size(c.rank);
       const std::uint32_t base = rank_off[static_cast<std::size_t>(c.rank)];
       const Time* const in_row = input.of_rank(c.rank).data();
+      auto& jumps = shared.rank_jumps[static_cast<std::size_t>(c.rank)];
       Time bound;
       while (c.next < n && ready_bound(base + c.next, bound)) {
         const std::uint32_t g = base + c.next;
@@ -214,7 +215,7 @@ void forward_worker(const ReplaySchedule& schedule, const TimestampArray& input,
         Time lc = cand;
         if (bound > cand) {
           lc = bound;
-          shared.jump[g] = bound - cand;
+          jumps.push_back({g, bound - cand});
         }
         shared.lc[g] = lc;
 
@@ -396,8 +397,9 @@ ClcResult controlled_logical_clock_parallel(const Trace& trace, const ReplaySche
 
   clc_detail::ForwardPassResult fwd;
   fwd.lc = std::move(shared.lc);
-  fwd.jump = std::move(shared.jump);
-  // Aggregates come from the deterministic per-event jump[] array, never from
+  fwd.jumps = clc_detail::concat_jumps(shared.rank_jumps);
+  shared.rank_jumps = {};
+  // Aggregates come from the jump list in global-index order, never from
   // per-thread accumulation, so the reported statistics are independent of
   // the thread count and bit-identical to the sequential implementation.
   clc_detail::finalize_stats(fwd);

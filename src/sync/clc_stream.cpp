@@ -88,7 +88,7 @@ struct Pending {
 };
 
 /// What processing needs of a read-ahead event: 24 bytes per event instead
-/// of the decoded 80-byte Event.
+/// of the decoded 64-byte Event.
 struct AheadEvent {
   Time ts = 0.0;          ///< local timestamp
   std::int64_t id = -1;   ///< msg_id of a send/receive, coll_id of a collective event
@@ -348,9 +348,19 @@ class StreamEngine {
         m.send_rank = r;
         break;
       }
-      case EventType::Recv:
-        msgs_.insert(e.msg_id).first->recv_registered = true;
+      case EventType::Recv: {
+        // A receive whose send was already spilled reloads the send's record
+        // so the edge is kept.  The spill released the send's backward hold,
+        // though, so its emitted value may lack this receive's cap: the run
+        // can diverge from the in-memory CLC, and that is what
+        // horizon_dropped counts.
+        bool reloaded = false;
+        MsgState* m = msgs_find(e.msg_id, &reloaded);
+        if (reloaded) ++stats_.horizon_dropped;
+        if (m == nullptr) m = msgs_.insert(e.msg_id).first;
+        m->recv_registered = true;
         break;
+      }
       case EventType::CollBegin:
       case EventType::CollEnd: {
         CollInst& inst = colls_[e.coll_id];
@@ -741,8 +751,8 @@ class StreamEngine {
   }
 
   /// The message entry of `id`, reloaded from the spill file when it was
-  /// spilled; nullptr when there is none.
-  MsgState* msgs_find(std::int64_t id) {
+  /// spilled (and then *reloaded is set); nullptr when there is none.
+  MsgState* msgs_find(std::int64_t id, bool* reloaded = nullptr) {
     if (MsgState* m = msgs_.find(id)) return m;
     if (spill_index_.empty()) return nullptr;
     SpillSlot* spilled = spill_index_.find(id);
@@ -761,6 +771,7 @@ class StreamEngine {
     m.send_seq = rec.send_seq;
     m.send_registered = true;
     m.send_processed = true;
+    if (reloaded != nullptr) *reloaded = true;
     return &m;
   }
 
@@ -917,41 +928,51 @@ class StreamEngine {
       throw TraceIoError(TraceIoErrorKind::Io,
                          "cannot open trace file for writing: " + tmp_path);
     }
-    {
-      const std::size_t epc =
-          opts_.events_per_chunk > 0 ? opts_.events_per_chunk : kDefaultEventsPerChunk;
-      TraceWriter writer(outf, index_.meta, epc);
-      ChunkReader merge_reader(raw_in, index_);
-      EventBlock& block = block_;  // the window is drained: reuse the read buffer
-      std::vector<double> vals;
-      // File order is rank-major (the writer enforces it), so this fold over
-      // the per-event jumps reproduces finalize_stats' accumulation exactly.
-      double total_jump = 0.0;
-      for (const ChunkRef& ref : index_.chunks) {
-        merge_reader.read(ref, block);
-        vals.resize(2 * block.events.size());
-        ts_spill_.read(reinterpret_cast<char*>(vals.data()),
-                       static_cast<std::streamsize>(vals.size() * 8));
-        if (static_cast<std::size_t>(ts_spill_.gcount()) != vals.size() * 8) {
-          throw TraceIoError(TraceIoErrorKind::Io, "spill read failed: " + ts_spill_path_);
-        }
-        for (std::size_t i = 0; i < block.events.size(); ++i) {
-          Event e = block.events[i];
-          e.local_ts = vals[2 * i];
-          if (vals[2 * i + 1] > 0.0) total_jump += vals[2 * i + 1];
-          writer.append(block.rank, e);
-        }
+    try {
+      write_merged(raw_in, outf, tmp_path);
+      if (std::rename(tmp_path.c_str(), out_path_.c_str()) != 0) {
+        throw TraceIoError(TraceIoErrorKind::Io,
+                           "cannot move corrected trace into place: " + out_path_);
       }
-      stats_.total_jump = total_jump;
-      writer.finish();
+    } catch (...) {
+      // No exit from a failed merge leaves the half-written file behind.
+      outf.close();
+      std::remove(tmp_path.c_str());
+      throw;
     }
+  }
+
+  /// Writes the corrected trace to `outf` (the file `tmp_path`).
+  void write_merged(std::istream& raw_in, std::ofstream& outf, const std::string& tmp_path) {
+    const std::size_t epc =
+        opts_.events_per_chunk > 0 ? opts_.events_per_chunk : kDefaultEventsPerChunk;
+    TraceWriter writer(outf, index_.meta, epc);
+    ChunkReader merge_reader(raw_in, index_);
+    EventBlock& block = block_;  // the window is drained: reuse the read buffer
+    std::vector<double> vals;
+    // File order is rank-major (the writer enforces it), so this fold over
+    // the per-event jumps reproduces finalize_stats' accumulation exactly.
+    double total_jump = 0.0;
+    for (const ChunkRef& ref : index_.chunks) {
+      merge_reader.read(ref, block);
+      vals.resize(2 * block.events.size());
+      ts_spill_.read(reinterpret_cast<char*>(vals.data()),
+                     static_cast<std::streamsize>(vals.size() * 8));
+      if (static_cast<std::size_t>(ts_spill_.gcount()) != vals.size() * 8) {
+        throw TraceIoError(TraceIoErrorKind::Io, "spill read failed: " + ts_spill_path_);
+      }
+      for (std::size_t i = 0; i < block.events.size(); ++i) {
+        Event e = block.events[i];
+        e.local_ts = vals[2 * i];
+        if (vals[2 * i + 1] > 0.0) total_jump += vals[2 * i + 1];
+        writer.append(block.rank, e);
+      }
+    }
+    stats_.total_jump = total_jump;
+    writer.finish();
     outf.close();
     if (!outf.good()) {
       throw TraceIoError(TraceIoErrorKind::Io, "trace write failed: " + tmp_path);
-    }
-    if (std::rename(tmp_path.c_str(), out_path_.c_str()) != 0) {
-      throw TraceIoError(TraceIoErrorKind::Io,
-                         "cannot move corrected trace into place: " + out_path_);
     }
   }
 

@@ -111,11 +111,11 @@ void ReplaySchedule::replay(Visit&& visit) const {
 
   std::vector<std::uint32_t> cursor(static_cast<std::size_t>(n), 0);
   std::vector<char> queued(static_cast<std::size_t>(n), 0);
-  // FIFO of runnable ranks; a plain vector with a head index (total enqueues
-  // are bounded by the edge count, so the tail never rewinds).
-  std::vector<Rank> ready;
-  ready.reserve(static_cast<std::size_t>(n));
+  // FIFO of runnable ranks.  queued[] keeps each rank in it at most once, so
+  // a ring of one slot per rank holds it.
+  std::vector<Rank> ready(static_cast<std::size_t>(n));
   std::size_t head = 0;
+  std::size_t size = 0;
 
   auto cursor_gidx = [&](Rank r) {
     return prefix_[static_cast<std::size_t>(r)] + cursor[static_cast<std::size_t>(r)];
@@ -126,14 +126,19 @@ void ReplaySchedule::replay(Visit&& visit) const {
     if (pending[cursor_gidx(r)] != 0) return;
     if (queued[static_cast<std::size_t>(r)]) return;
     queued[static_cast<std::size_t>(r)] = 1;
-    ready.push_back(r);
+    std::size_t tail = head + size;
+    if (tail >= ready.size()) tail -= ready.size();
+    ready[tail] = r;
+    ++size;
   };
 
   for (Rank r = 0; r < n; ++r) enqueue_if_ready(r);
 
   std::size_t visited = 0;
-  while (head < ready.size()) {
-    const Rank r = ready[head++];
+  while (size > 0) {
+    const Rank r = ready[head];
+    if (++head == ready.size()) head = 0;
+    --size;
     queued[static_cast<std::size_t>(r)] = 0;
 
     // Drain this process until its next event is blocked.

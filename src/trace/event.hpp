@@ -53,22 +53,30 @@ enum class CollectiveFlavor { OneToN, NToOne, NToN };
 
 CollectiveFlavor flavor_of(CollectiveKind k);
 
+// Field order: the four 8-byte fields, then the seven 4-byte fields, then
+// the two 1-byte enums.  Declared largest first, the 62 bytes of fields
+// have no interior padding and fit in 64 bytes (one cache line); grouped by
+// meaning instead, the alignment holes pad the struct to 80.  The codecs read
+// and write field by field, so the order does not reach any file format.
 struct Event {
-  EventType type{};
   Time local_ts = 0.0;
   Time true_ts = 0.0;
+  std::int64_t msg_id = -1;       ///< pairs Send with its Recv
+  std::int64_t coll_id = -1;      ///< collective instance (same on all ranks)
 
   std::int32_t region = -1;       ///< Enter/Exit: region table index
   Rank peer = -1;                 ///< Send: destination; Recv: source
   Tag tag = -1;                   ///< p2p message tag
   std::uint32_t bytes = 0;        ///< p2p/collective payload size
-  std::int64_t msg_id = -1;       ///< pairs Send with its Recv
-  CollectiveKind coll{};          ///< CollBegin/CollEnd
-  std::int64_t coll_id = -1;      ///< collective instance (same on all ranks)
   Rank root = -1;                 ///< rooted collectives
   std::int32_t omp_instance = -1; ///< parallel-region instance (POMP analysis)
   ThreadId thread = 0;            ///< OpenMP thread within the location
+
+  EventType type{};
+  CollectiveKind coll{};          ///< CollBegin/CollEnd
 };
+
+static_assert(sizeof(Event) == 64, "Event must stay padding-free at 64 bytes");
 
 /// Addresses one event inside a Trace.
 struct EventRef {

@@ -354,9 +354,7 @@ void TraceWriter::emit_chunk(std::uint8_t kind, std::span<const std::uint8_t> he
   out_.write(crc_bytes, 4);
   if (!out_.good()) throw TraceIoError(TraceIoErrorKind::Io, "trace write failed");
 
-  file_crc_ = crc32c(file_crc_, hdr, 5);
-  file_crc_ = crc32c(file_crc_, head.data(), head.size());
-  file_crc_ = crc32c(file_crc_, body.data(), body.size());
+  file_crc_ = crc32c_combine(file_crc_, crc, 5 + len64);
   file_crc_ = crc32c(file_crc_, crc_bytes, 4);
   bytes_written_ += 5 + len64 + 4;
 
@@ -442,8 +440,7 @@ std::uint8_t TraceReader::read_chunk() {
     // The footer's CRC field covers every byte before the footer chunk.
     char crc_bytes[4];
     std::memcpy(crc_bytes, &stored, 4);
-    file_crc_ = crc32c(file_crc_, hdr, 5);
-    file_crc_ = crc32c(file_crc_, payload_.data(), payload_.size());
+    file_crc_ = crc32c_combine(file_crc_, crc, 5 + static_cast<std::uint64_t>(len));
     file_crc_ = crc32c(file_crc_, crc_bytes, 4);
   }
   return kind;
@@ -612,8 +609,7 @@ TraceIndex index_trace_v2(std::istream& in) {
                              std::string(1, static_cast<char>(kind)) + "')");
     }
     if (kind != kChunkFooter) {
-      file_crc = crc32c(file_crc, hdr, 5);
-      file_crc = crc32c(file_crc, payload.data(), payload.size());
+      file_crc = crc32c_combine(file_crc, crc, 5 + static_cast<std::uint64_t>(len));
       file_crc = crc32c(file_crc, crc_bytes, 4);
     }
     offset += 5 + static_cast<std::uint64_t>(len) + 4;

@@ -38,6 +38,48 @@ TEST(Crc32c, PartialUpdatesCompose) {
   }
 }
 
+TEST(Crc32c, CombineMatchesDirect) {
+  Rng rng(20261020);
+  std::vector<std::uint8_t> buf(70000);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  auto check = [&](std::size_t n, std::size_t split) {
+    const std::uint8_t* p = buf.data();
+    const std::uint32_t a = crc32c(0, p, split);
+    const std::uint32_t b = crc32c(0, p + split, n - split);
+    ASSERT_EQ(crc32c_combine(a, b, n - split), crc32c(0, p, n))
+        << "length " << n << " split at " << split;
+  };
+  // Empty and 1-byte parts on either side, including an empty whole.
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{9},
+                              buf.size()}) {
+    check(n, 0);
+    check(n, n);
+    if (n >= 1) {
+      check(n, 1);
+      check(n, n - 1);
+    }
+  }
+  for (int trial = 0; trial < 500; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(buf.size())));
+    const auto split = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n)));
+    check(n, split);
+  }
+  // Lengths past what a test can checksum directly must still compose:
+  // shifting by n1 then n2 bytes equals shifting by n1 + n2.
+  const std::uint32_t a = crc32c(0, buf.data(), 100);
+  const std::uint32_t b = crc32c(0, buf.data() + 100, 200);
+  const std::uint32_t c = crc32c(0, buf.data() + 300, 300);
+  for (const std::uint64_t n1 : {std::uint64_t{1} << 29, (std::uint64_t{3} << 30) + 7,
+                                 (std::uint64_t{5} << 33) + 1}) {
+    for (const std::uint64_t n2 : {std::uint64_t{1}, std::uint64_t{1} << 32,
+                                   (std::uint64_t{9} << 40) + 3}) {
+      EXPECT_EQ(crc32c_combine(crc32c_combine(a, b, n1), c, n2),
+                crc32c_combine(a, crc32c_combine(b, c, n2), n1 + n2))
+          << n1 << " + " << n2;
+    }
+  }
+}
+
 TEST(Crc32c, DetectsSingleBitFlips) {
   std::string data = "chronosync trace chunk payload";
   const std::uint32_t clean = crc32c(0, data.data(), data.size());

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "../testutil/random_trace.hpp"
 #include "analysis/clock_condition_stream.hpp"
@@ -193,6 +196,64 @@ TEST(ClcStream, SpilledMessagesStayBitIdentical) {
   std::remove(out_path.c_str());
 }
 
+TEST(ClcStream, ReceiveAfterSpilledSendKeepsItsEdge) {
+  // Rank 3 only receives, and its clock runs 2 s ahead, so it is read last:
+  // by the time its receives are registered, the read frontier is far past
+  // every send to it and a four-entry message table has spilled them.  The
+  // receive must reload the spilled send and keep the edge; because the
+  // spill already released the send's backward hold, the run is counted in
+  // horizon_dropped instead of claiming bit-identity.
+  SweepConfig cfg;
+  cfg.rounds = 300;
+  cfg.gap_mean = 10e-3;
+  JobConfig job;
+  job.placement = pinning::inter_node(clusters::xeon_rwth(), 4);
+  job.timer = timer_specs::mpi_wtime();
+  job.seed = 5;
+  Trace trace = run_sweep(cfg, std::move(job)).trace;
+  std::vector<std::int64_t> from_rank3;
+  for (Event& e : trace.events(3)) {
+    e.local_ts += 2.0;
+    if (e.type != EventType::Send) continue;
+    from_rank3.push_back(e.msg_id);
+    e.type = EventType::Enter;
+    e.msg_id = -1;
+    e.peer = -1;
+  }
+  std::sort(from_rank3.begin(), from_rank3.end());
+  for (Rank r = 0; r < 3; ++r) {
+    for (Event& e : trace.events(r)) {
+      if (e.type != EventType::Recv ||
+          !std::binary_search(from_rank3.begin(), from_rank3.end(), e.msg_id)) {
+        continue;
+      }
+      e.type = EventType::Enter;
+      e.msg_id = -1;
+      e.peer = -1;
+    }
+  }
+  const std::size_t messages = trace.match_messages().size();
+  const std::string in_path = testing::TempDir() + "/cs_clcstream_late_in.cstr";
+  const std::string out_path = testing::TempDir() + "/cs_clcstream_late_out.cstr";
+  write_trace_v2_file(trace, in_path, /*events_per_chunk=*/64);
+
+  StreamClcOptions opt;
+  opt.horizon = 0.5;
+  opt.backward_window = 100.0;
+  const StreamClcStats unspilled = clc_stream_file(in_path, out_path, opt);
+  EXPECT_EQ(unspilled.spilled_msgs, 0u);
+  EXPECT_EQ(unspilled.p2p_edges, messages);
+
+  opt.max_outstanding_msgs = 4;
+  const StreamClcStats spilled = clc_stream_file(in_path, out_path, opt);
+  EXPECT_GT(spilled.spilled_msgs, 0u);
+  EXPECT_EQ(spilled.p2p_edges, messages) << "every matched message constrains its receive";
+  EXPECT_GT(spilled.horizon_dropped, 0u) << "late receives must not pass as bit-identical";
+  EXPECT_EQ(spilled.events, trace.total_events());
+  std::remove(in_path.c_str());
+  std::remove(out_path.c_str());
+}
+
 TEST(ClcStream, AllocatesAtMost32BytesPerEvent) {
   // A 52-minute sweep (the paper's long-run regime) of about 10^5 events.
   // The window is allocated once and reused, so what is left per event is
@@ -295,6 +356,24 @@ TEST(ClcStream, TruncatedInputThrowsBeforeAnyOutputExists) {
   EXPECT_THROW(clc_stream_file(in_path, out_path, {}), TraceIoError);
   std::ifstream probe(out_path);
   EXPECT_FALSE(probe.good()) << "no output file may exist after a failed run";
+  std::remove(in_path.c_str());
+}
+
+TEST(ClcStream, FailedMergeLeavesNoTmp) {
+  // The output path names a non-empty directory, so the final rename fails
+  // after the corrected trace was written to <out>.tmp.
+  const Trace trace = sweep_fixture(7, /*rounds=*/10);
+  const std::string in_path = testing::TempDir() + "/cs_clcstream_failmerge_in.cstr";
+  const std::string out_dir = testing::TempDir() + "/cs_clcstream_failmerge_out";
+  write_trace_v2_file(trace, in_path);
+  std::filesystem::create_directories(out_dir);
+  std::ofstream(out_dir + "/keep") << "x";
+
+  EXPECT_THROW(clc_stream_file(in_path, out_dir, {}), TraceIoError);
+  EXPECT_FALSE(std::filesystem::exists(out_dir + ".tmp")) << "a failed merge left its .tmp";
+  EXPECT_FALSE(std::filesystem::exists(out_dir + ".ts-spill"));
+  EXPECT_TRUE(std::filesystem::exists(out_dir + "/keep"));
+  std::filesystem::remove_all(out_dir);
   std::remove(in_path.c_str());
 }
 

@@ -358,7 +358,7 @@ TEST(Clc, EventlessTraceReturnsInputUnchanged) {
 }
 
 TEST(ParallelClc, StatisticsIndependentOfThreadCount) {
-  // Aggregates are derived from the final jump[] array in global-event
+  // Aggregates are derived from the final jump list in global-event
   // order, so they must be bit-identical to the sequential run for every
   // thread count — not merely close.
   Trace trace = random_trace(8, 50, 7);

@@ -116,6 +116,54 @@ TEST(LogicalMessages, DuplicateRootEventsUseFirstMatch) {
   }
 }
 
+TEST(LogicalMessages, ReservesExactCount) {
+  // Mixed flavours over 5 ranks, one instance per kind, plus a Bcast whose
+  // root never recorded its begin (no messages) and the malformed duplicate
+  // root of DuplicateRootEventsUseFirstMatch: the output is counted first,
+  // so no capacity is left over.
+  const int ranks = 5;
+  Trace t(pinning::inter_node(clusters::xeon_rwth(), ranks), {0.47e-6, 0.86e-6, 4.29e-6},
+          "test");
+  const CollectiveKind kinds[] = {CollectiveKind::Barrier,   CollectiveKind::Bcast,
+                                  CollectiveKind::Reduce,    CollectiveKind::Allreduce,
+                                  CollectiveKind::Gather,    CollectiveKind::Scatter,
+                                  CollectiveKind::Allgather, CollectiveKind::Alltoall,
+                                  CollectiveKind::Bcast};
+  std::int64_t id = 0;
+  for (const CollectiveKind kind : kinds) {
+    const bool rootless = id == 8;  // the last Bcast: root 3 records no begin
+    for (Rank r = 0; r < ranks; ++r) {
+      Event b;
+      b.type = EventType::CollBegin;
+      b.coll = kind;
+      b.coll_id = id;
+      b.root = 3;
+      b.local_ts = b.true_ts = 1.0 + static_cast<double>(id) + 0.001 * r;
+      Event e = b;
+      e.type = EventType::CollEnd;
+      e.local_ts = e.true_ts = b.local_ts + 0.5;
+      if (!(rootless && r == 3)) t.events(r).push_back(b);
+      t.events(r).push_back(e);
+    }
+    ++id;
+  }
+  Event dup = t.events(3)[2];  // root begin of the Bcast (coll_id 1)
+  ASSERT_EQ(dup.coll_id, 1);
+  t.events(3).push_back(dup);
+  t.events(3).push_back(t.events(3)[3]);  // balance ends: not partial
+
+  const auto msgs = derive_logical_messages(t);
+  // N-to-N: 4 kinds x 20; 1-to-N and N-to-1: 4 kinds x 4; rootless Bcast: 0.
+  EXPECT_EQ(msgs.size(), 4u * 20u + 4u * 4u);
+  EXPECT_EQ(msgs.capacity(), msgs.size());
+  for (const auto& m : msgs) {
+    if (m.coll_id == 1) {
+      EXPECT_EQ(m.send.proc, 3);
+      EXPECT_EQ(m.send.index, 2u) << "root begin must be the first recorded one";
+    }
+  }
+}
+
 TEST(LogicalMessages, EmptyTraceGivesNone) {
   Trace t(pinning::inter_node(clusters::xeon_rwth(), 2), {1e-6, 2e-6, 4e-6}, "test");
   EXPECT_TRUE(derive_logical_messages(t).empty());
