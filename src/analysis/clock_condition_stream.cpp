@@ -75,7 +75,15 @@ ClockConditionReport scan_clock_condition(TraceReader& reader, ScanStats* stats)
 
   EventBlock block;
   while (reader.next(block)) {
-    for (const Event& e : block.events) {
+    const std::vector<Event>& events = block.events;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (i + kIdPrefetchDistance < events.size()) {
+        const Event& ahead = events[i + kIdPrefetchDistance];
+        if (ahead.type == EventType::Send || ahead.type == EventType::Recv) {
+          msgs.prefetch(ahead.msg_id);
+        }
+      }
+      const Event& e = events[i];
       ++rep.total_events;
       switch (e.type) {
         case EventType::Send:

@@ -3,6 +3,13 @@
 // better error-detection properties on short records.  On x86-64 CPUs with
 // SSE4.2 it runs on the `crc32` instruction, chosen at run time; elsewhere it
 // falls back to portable slicing-by-8 tables.  Both give the same value.
+//
+// The instruction's three-cycle latency would cap one dependent chain at a
+// third of its throughput, so the hardware path cuts each 12 KiB block into
+// three 4 KiB lanes, runs them as independent chains and joins them with two
+// multiplications by x^(8 * 4096) mod P (the crc32c_combine arithmetic).
+// Inputs shorter than one block, and the tail after the last block, run as
+// one chain.
 #pragma once
 
 #include <cstddef>

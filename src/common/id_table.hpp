@@ -50,6 +50,11 @@ namespace chronosync {
 /// a table of 2^b slots is the top b bits of id * kIdHashMultiplier.
 inline constexpr std::uint64_t kIdHashMultiplier = 0x9e3779b97f4a7c15ULL;
 
+/// How many events ahead the streaming loops prefetch a message id's home
+/// slot: far enough to hide a cache miss behind the work on the events in
+/// between, near enough that the line is still cached when it is used.
+inline constexpr std::size_t kIdPrefetchDistance = 16;
+
 template <class Slot>
 class IdTable {
   static_assert(std::is_trivially_copyable_v<Slot>, "slots are moved by plain copies");
@@ -75,6 +80,13 @@ class IdTable {
       if (!s.live) return nullptr;
       if (s.id == id) return &s;
     }
+  }
+
+  /// Hints the cache to load the home slot of `id`, ahead of a find() or
+  /// insert() of it.  Reads nothing and changes nothing, so a hint that
+  /// growth or erasure makes stale costs only the wasted load.
+  void prefetch(std::int64_t id) const {
+    if (slots_ != nullptr) __builtin_prefetch(slots_ + home(id));
   }
 
   /// Finds the entry of `id` or inserts a value-initialized one; the flag is

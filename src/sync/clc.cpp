@@ -30,7 +30,7 @@ ForwardPassResult forward_pass(const Trace& trace, const ReplaySchedule& schedul
   std::vector<ProcState> state(static_cast<std::size_t>(trace.ranks()));
   // The replay visits each rank's events in local order, so per-rank lists
   // come out sorted.
-  std::vector<std::vector<Jump>> rank_jumps(static_cast<std::size_t>(trace.ranks()));
+  res.rank_jumps.resize(static_cast<std::size_t>(trace.ranks()));
 
   schedule.replay([&](std::uint32_t g, const EventRef& ref) {
     auto& st = state[static_cast<std::size_t>(ref.proc)];
@@ -56,7 +56,7 @@ ForwardPassResult forward_pass(const Trace& trace, const ReplaySchedule& schedul
     Time lc = cand;
     if (bound > cand) {
       lc = bound;
-      rank_jumps[static_cast<std::size_t>(ref.proc)].push_back({g, bound - cand});
+      res.rank_jumps[static_cast<std::size_t>(ref.proc)].push_back({g, bound - cand});
     }
 
     res.lc[g] = lc;
@@ -65,30 +65,23 @@ ForwardPassResult forward_pass(const Trace& trace, const ReplaySchedule& schedul
     st.has_prev = true;
   });
 
-  res.jumps = concat_jumps(rank_jumps);
   finalize_stats(res);
   return res;
 }
 
-std::vector<Jump> concat_jumps(const std::vector<std::vector<Jump>>& per_rank) {
-  std::size_t total = 0;
-  for (const auto& v : per_rank) total += v.size();
-  std::vector<Jump> out;
-  out.reserve(total);
-  for (const auto& v : per_rank) out.insert(out.end(), v.begin(), v.end());
-  return out;
-}
-
 void finalize_stats(ForwardPassResult& fwd) {
-  // Jump aggregates are derived from the jump list in global-index order,
+  // Jump aggregates are derived from the jump lists in global-index order,
   // so serial and parallel replays (whose per-event jumps are bit-identical)
   // report bit-identical statistics regardless of visit or thread order.
-  fwd.violations_repaired = fwd.jumps.size();
+  fwd.violations_repaired = 0;
   fwd.max_jump = 0.0;
   fwd.total_jump = 0.0;
-  for (const Jump& j : fwd.jumps) {
-    fwd.max_jump = std::max(fwd.max_jump, j.size);
-    fwd.total_jump += j.size;
+  for (const std::vector<Jump>& jumps : fwd.rank_jumps) {
+    fwd.violations_repaired += jumps.size();
+    for (const Jump& j : jumps) {
+      fwd.max_jump = std::max(fwd.max_jump, j.size);
+      fwd.total_jump += j.size;
+    }
   }
 }
 
@@ -110,17 +103,12 @@ void backward_pass(const Trace& trace, const ReplaySchedule& schedule,
 
   // Per process, sweep backwards applying the ramp of the nearest following
   // jump; monotonicity is maintained by clamping against the successor.
-  // Global numbering is rank-major, so rank r's jumps are the slice
-  // [lo, hi) of the sorted list, walked here with a reverse cursor.
-  const std::vector<Jump>& jumps = fwd.jumps;
-  std::size_t lo = 0;
+  // Rank r's jump list is walked with a reverse cursor.
   for (Rank r = 0; r < trace.ranks(); ++r) {
     const auto n = static_cast<std::uint32_t>(trace.events(r).size());
     const std::uint32_t base = schedule.rank_begin(r);
-    std::size_t hi = lo;
-    while (hi < jumps.size() && jumps[hi].g < base + n) ++hi;
-    std::size_t cursor = hi;
-    lo = hi;
+    const std::vector<Jump>& jumps = fwd.rank_jumps[static_cast<std::size_t>(r)];
+    std::size_t cursor = jumps.size();
     if (n == 0) continue;
 
     bool have_jump = false;

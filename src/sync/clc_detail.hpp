@@ -19,13 +19,11 @@ struct Jump {
   Duration size = 0.0;
 };
 
-/// Concatenates per-rank jump lists (each in local order) in rank order,
-/// which is global-index order because global numbering is rank-major.
-std::vector<Jump> concat_jumps(const std::vector<std::vector<Jump>>& per_rank);
-
 struct ForwardPassResult {
-  std::vector<Time> lc;     ///< corrected timestamp per global event index
-  std::vector<Jump> jumps;  ///< the events that jumped, sorted by global index
+  std::vector<Time> lc;  ///< corrected timestamp per global event index
+  /// Per rank, the events that jumped in local order.  Global numbering is
+  /// rank-major, so the lists read in rank order are sorted by global index.
+  std::vector<std::vector<Jump>> rank_jumps;
   std::size_t violations_repaired = 0;
   Duration max_jump = 0.0;
   Duration total_jump = 0.0;
@@ -34,7 +32,7 @@ struct ForwardPassResult {
 ForwardPassResult forward_pass(const Trace& trace, const ReplaySchedule& schedule,
                                const TimestampArray& input, const ClcOptions& options);
 
-/// Recomputes the jump aggregates (count, max, total) from the jump list in
+/// Recomputes the jump aggregates (count, max, total) from the jump lists in
 /// global-index order — deterministic across replay orders and thread
 /// counts.
 void finalize_stats(ForwardPassResult& fwd);

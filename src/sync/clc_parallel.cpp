@@ -397,9 +397,8 @@ ClcResult controlled_logical_clock_parallel(const Trace& trace, const ReplaySche
 
   clc_detail::ForwardPassResult fwd;
   fwd.lc = std::move(shared.lc);
-  fwd.jumps = clc_detail::concat_jumps(shared.rank_jumps);
-  shared.rank_jumps = {};
-  // Aggregates come from the jump list in global-index order, never from
+  fwd.rank_jumps = std::move(shared.rank_jumps);
+  // Aggregates come from the jump lists in global-index order, never from
   // per-thread accumulation, so the reported statistics are independent of
   // the thread count and bit-identical to the sequential implementation.
   clc_detail::finalize_stats(fwd);

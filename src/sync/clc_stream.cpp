@@ -298,7 +298,15 @@ class StreamEngine {
     RankState& rs = ranks_[static_cast<std::size_t>(pick)];
     reader_.read(index_.chunks[rs.chunks[rs.next_chunk]], block_);
     ++rs.next_chunk;
-    for (const Event& e : block_.events) {
+    const std::vector<Event>& events = block_.events;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (i + kIdPrefetchDistance < events.size()) {
+        const Event& ahead = events[i + kIdPrefetchDistance];
+        if (ahead.type == EventType::Send || ahead.type == EventType::Recv) {
+          msgs_.prefetch(ahead.msg_id);
+        }
+      }
+      const Event& e = events[i];
       register_event(pick, e);
       rs.read_ts = std::max(rs.read_ts, e.local_ts);
       const bool coll = e.type == EventType::CollBegin || e.type == EventType::CollEnd;
@@ -912,11 +920,12 @@ class StreamEngine {
 
   // -- output merge -----------------------------------------------------------
 
-  /// Second pass over the input: re-reads every chunk in file order,
-  /// substitutes the corrected timestamps from the side file, and streams the
-  /// result through TraceWriter into out_path + ".tmp", renamed into place
-  /// only after finish() sealed the footer — a crash mid-merge leaves no
-  /// half-written trace behind under the output name.
+  /// Second pass over the input: re-reads every chunk in file order, splices
+  /// the corrected timestamps from the side file into its encoded events
+  /// (ChunkReader::splice) and streams the chunks, unchanged in shape,
+  /// through TraceWriter::append_chunk into out_path + ".tmp", renamed into
+  /// place only after finish() sealed the footer — a crash mid-merge leaves
+  /// no half-written trace behind under the output name.
   void merge_output(std::istream& raw_in) {
     CS_SPAN("clc.stream.merge");
     ts_spill_.flush();
@@ -944,29 +953,29 @@ class StreamEngine {
 
   /// Writes the corrected trace to `outf` (the file `tmp_path`).
   void write_merged(std::istream& raw_in, std::ofstream& outf, const std::string& tmp_path) {
-    const std::size_t epc =
-        opts_.events_per_chunk > 0 ? opts_.events_per_chunk : kDefaultEventsPerChunk;
-    TraceWriter writer(outf, index_.meta, epc);
+    TraceWriter writer(outf, index_.meta);
     ChunkReader merge_reader(raw_in, index_);
-    EventBlock& block = block_;  // the window is drained: reuse the read buffer
-    std::vector<double> vals;
+    std::vector<double> records;  // (corrected_ts, jump) per event
+    std::vector<std::uint8_t> spliced;
     // File order is rank-major (the writer enforces it), so this fold over
     // the per-event jumps reproduces finalize_stats' accumulation exactly.
     double total_jump = 0.0;
     for (const ChunkRef& ref : index_.chunks) {
-      merge_reader.read(ref, block);
-      vals.resize(2 * block.events.size());
-      ts_spill_.read(reinterpret_cast<char*>(vals.data()),
-                     static_cast<std::streamsize>(vals.size() * 8));
-      if (static_cast<std::size_t>(ts_spill_.gcount()) != vals.size() * 8) {
+      const std::size_t n = ref.count;
+      records.resize(2 * n);
+      ts_spill_.read(reinterpret_cast<char*>(records.data()),
+                     static_cast<std::streamsize>(records.size() * 8));
+      if (static_cast<std::size_t>(ts_spill_.gcount()) != records.size() * 8) {
         throw TraceIoError(TraceIoErrorKind::Io, "spill read failed: " + ts_spill_path_);
       }
-      for (std::size_t i = 0; i < block.events.size(); ++i) {
-        Event e = block.events[i];
-        e.local_ts = vals[2 * i];
-        if (vals[2 * i + 1] > 0.0) total_jump += vals[2 * i + 1];
-        writer.append(block.rank, e);
+      // Compacts the timestamps to the front in place: slot i is written
+      // only after slots 2i and 2i + 1 were read.
+      for (std::size_t i = 0; i < n; ++i) {
+        if (records[2 * i + 1] > 0.0) total_jump += records[2 * i + 1];
+        records[i] = records[2 * i];
       }
+      writer.append_chunk(ref.rank, ref.count,
+                          merge_reader.splice(ref, {records.data(), n}, spliced));
     }
     stats_.total_jump = total_jump;
     writer.finish();

@@ -26,6 +26,15 @@
 // peak RSS is bounded by window size plus edge backlog — never by trace
 // length.
 //
+// The merge does not decode and re-encode events.  It re-reads each input
+// chunk (CRC verified again), rewrites only each event's local_ts delta from
+// the corrected values and copies the other encoded fields byte for byte
+// (splice_local_ts, which runs every check of the decoder), then frames the
+// result with TraceWriter::append_chunk.  The output therefore keeps the
+// input's chunks — same ranks, counts and sequence — and, for an input
+// TraceWriter wrote, is byte for byte what write_trace_v2 of the corrected
+// trace at the input's chunk size would give.
+//
 // -- Equivalence contract -----------------------------------------------------
 //
 // The forward pass is replayed in a dependency-respecting order, and the
@@ -76,8 +85,6 @@ struct StreamClcOptions {
   /// (sends still awaiting their receive, past the horizon) spill to the
   /// on-disk side file.
   std::size_t max_outstanding_msgs = std::size_t{1} << 20;
-  /// Chunk size of the corrected output trace.
-  std::size_t events_per_chunk = 0;  ///< 0 = kDefaultEventsPerChunk
 };
 
 struct StreamClcStats {

@@ -113,13 +113,76 @@ std::uint64_t get_raw64(const std::uint8_t** p, const std::uint8_t* end, const c
   return checked_i32(get_sv_padded(p, what), what);
 }
 
+/// Rejects an event chunk whose `count` cannot fit in [p, end) at
+/// kMinEncodedEvent bytes per event, which bounds every buffer sized from it.
+void check_event_count(const std::uint8_t* p, const std::uint8_t* end, std::uint64_t count) {
+  if (count > static_cast<std::uint64_t>(end - p) / kMinEncodedEvent) {
+    malformed("event chunk count " + std::to_string(count) + " overruns chunk");
+  }
+}
+
+/// One encoded event's fields as the walker reads them: delta-coded fields
+/// as their raw deltas.
+struct EventFields {
+  std::uint8_t type;
+  std::uint64_t local_delta;
+  const std::uint8_t* tail;  ///< the event's bytes from true_ts on
+  std::uint64_t true_delta;
+  std::int32_t region;
+  std::int32_t peer;
+  std::int32_t tag;
+  std::uint32_t bytes;
+  std::uint64_t msg_delta;
+  std::uint8_t coll;
+  std::uint64_t coll_delta;
+  std::int32_t root;
+  std::int32_t omp_instance;
+  std::int32_t thread;
+};
+
+/// The validating event walker: reads `count` events from [p, end) — the
+/// payload after the chunk head, inside a PayloadBuffer — runs every check of
+/// the event format on each, and hands it to `sink(fields, event_end)` once
+/// all of them passed; then rejects trailing bytes.  decode_events and
+/// splice_local_ts are its two sinks, so both accept and reject exactly the
+/// same chunks with the same messages.  The caller has run
+/// check_event_count.
+template <class Sink>
+[[gnu::always_inline]] inline void walk_events(const std::uint8_t* p, const std::uint8_t* end,
+                                               std::uint64_t count, Sink&& sink) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    EventFields f;
+    f.type = *p++;
+    if (f.type > kMaxEventType) bad_enum("event type", f.type);
+    f.local_delta = static_cast<std::uint64_t>(get_sv_padded(p, "event local_ts"));
+    f.tail = p;
+    f.true_delta = static_cast<std::uint64_t>(get_sv_padded(p, "event true_ts"));
+    f.region = get_sv32_padded(p, "event region");
+    f.peer = get_sv32_padded(p, "event peer");
+    f.tag = get_sv32_padded(p, "event tag");
+    const std::uint64_t bytes = get_uv_padded(p, "event bytes");
+    if (bytes > std::numeric_limits<std::uint32_t>::max()) malformed("event bytes out of range");
+    f.bytes = static_cast<std::uint32_t>(bytes);
+    f.msg_delta = static_cast<std::uint64_t>(get_sv_padded(p, "event msg_id"));
+    f.coll = *p++;
+    if (f.coll > kMaxCollKind) bad_enum("collective kind", f.coll);
+    f.coll_delta = static_cast<std::uint64_t>(get_sv_padded(p, "event coll_id"));
+    f.root = get_sv32_padded(p, "event root");
+    f.omp_instance = get_sv32_padded(p, "event omp_instance");
+    f.thread = get_sv32_padded(p, "event thread");
+    if (p > end) malformed("event chunk ends mid-event");
+    sink(f, p);
+  }
+  if (p != end) malformed("trailing bytes in event chunk");
+}
+
 /// Decodes `count` delta-encoded events from [p, end) — the payload after the
 /// chunk head, inside a PayloadBuffer — and appends them to `out`.  Shared by
 /// the sequential TraceReader and the random-access ChunkReader so both
-/// enforce identical validation.  The caller has checked
-/// count <= (end - p) / kMinEncodedEvent, which bounds the reservation.
+/// enforce identical validation.
 void decode_events(const std::uint8_t* p, const std::uint8_t* end, std::uint64_t count,
                    std::vector<Event>& out) {
+  check_event_count(p, end, count);
   const auto n = static_cast<std::size_t>(count);
   if (out.capacity() - out.size() < n) {
     out.reserve(std::max(out.size() + n, 2 * out.capacity()));
@@ -130,35 +193,27 @@ void decode_events(const std::uint8_t* p, const std::uint8_t* end, std::uint64_t
   std::uint64_t prev_true = 0;
   std::uint64_t prev_msg = 0;
   std::uint64_t prev_coll = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  walk_events(p, end, count, [&](const EventFields& f, const std::uint8_t*) {
     Event e;
-    const std::uint8_t type = *p++;
-    if (type > kMaxEventType) bad_enum("event type", type);
-    e.type = static_cast<EventType>(type);
-    prev_local += static_cast<std::uint64_t>(get_sv_padded(p, "event local_ts"));
-    prev_true += static_cast<std::uint64_t>(get_sv_padded(p, "event true_ts"));
+    e.type = static_cast<EventType>(f.type);
+    prev_local += f.local_delta;
+    prev_true += f.true_delta;
     e.local_ts = std::bit_cast<double>(prev_local);
     e.true_ts = std::bit_cast<double>(prev_true);
-    e.region = get_sv32_padded(p, "event region");
-    e.peer = get_sv32_padded(p, "event peer");
-    e.tag = get_sv32_padded(p, "event tag");
-    const std::uint64_t bytes = get_uv_padded(p, "event bytes");
-    if (bytes > std::numeric_limits<std::uint32_t>::max()) malformed("event bytes out of range");
-    e.bytes = static_cast<std::uint32_t>(bytes);
-    prev_msg += static_cast<std::uint64_t>(get_sv_padded(p, "event msg_id"));
+    e.region = f.region;
+    e.peer = f.peer;
+    e.tag = f.tag;
+    e.bytes = f.bytes;
+    prev_msg += f.msg_delta;
     e.msg_id = static_cast<std::int64_t>(prev_msg);
-    const std::uint8_t coll = *p++;
-    if (coll > kMaxCollKind) bad_enum("collective kind", coll);
-    e.coll = static_cast<CollectiveKind>(coll);
-    prev_coll += static_cast<std::uint64_t>(get_sv_padded(p, "event coll_id"));
+    e.coll = static_cast<CollectiveKind>(f.coll);
+    prev_coll += f.coll_delta;
     e.coll_id = static_cast<std::int64_t>(prev_coll);
-    e.root = get_sv32_padded(p, "event root");
-    e.omp_instance = get_sv32_padded(p, "event omp_instance");
-    e.thread = get_sv32_padded(p, "event thread");
-    if (p > end) malformed("event chunk ends mid-event");
+    e.root = f.root;
+    e.omp_instance = f.omp_instance;
+    e.thread = f.thread;
     out.push_back(e);
-  }
-  if (p != end) malformed("trailing bytes in event chunk");
+  });
 }
 
 /// Parses the meta-chunk payload.  Shared by TraceReader and index_trace_v2.
@@ -227,6 +282,43 @@ std::uint8_t* PayloadBuffer::resize(std::size_t len) {
   std::memset(buf_.data() + len, 0, kDecodeSlack);
   len_ = len;
   return buf_.data();
+}
+
+// -- splice -------------------------------------------------------------------
+
+std::span<const std::uint8_t> splice_local_ts(const PayloadBuffer& payload, std::size_t head_len,
+                                              std::span<const double> local_ts,
+                                              std::vector<std::uint8_t>& out) {
+  CS_REQUIRE(head_len <= payload.size(), "chunk head longer than the payload");
+  const std::uint8_t* p = payload.data() + head_len;
+  const std::uint8_t* end = payload.end();
+  const std::uint64_t count = local_ts.size();
+  check_event_count(p, end, count);
+  // A new local_ts delta takes at most kMaxVarintBytes where the old one took
+  // at least one byte, and every other byte is copied.  Growth leaves a
+  // quarter of headroom, so chunks of similar size reuse the buffer instead
+  // of regrowing it a little each time.
+  const std::size_t bound =
+      static_cast<std::size_t>(end - p) + static_cast<std::size_t>(count) * (kMaxVarintBytes - 1);
+  if (out.size() < bound) out.resize(bound + bound / 4);
+  std::uint8_t* q = out.data();
+  const double* ts = local_ts.data();
+  std::uint64_t prev = 0;  // the writer's per-chunk delta reset
+  walk_events(p, end, count, [&](const EventFields& f, const std::uint8_t* event_end) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(*ts++);
+    *q++ = f.type;
+    q = put_svarint(q, static_cast<std::int64_t>(bits - prev));
+    prev = bits;
+    const auto tail = static_cast<std::size_t>(event_end - f.tail);
+    std::memcpy(q, f.tail, tail);
+    q += tail;
+  });
+  const auto len = static_cast<std::size_t>(q - out.data());
+  if (head_len + len > kMaxChunkPayload) {
+    malformed("corrected event chunk of " + std::to_string(head_len + len) +
+              " bytes exceeds the 64 MiB payload limit");
+  }
+  return {out.data(), len};
 }
 
 // -- TraceWriter --------------------------------------------------------------
@@ -312,17 +404,34 @@ void TraceWriter::append(Rank rank, const Event& e) {
   if (body_events_ >= events_per_chunk_) flush_chunk();
 }
 
+void TraceWriter::append_chunk(Rank rank, std::uint64_t count,
+                               std::span<const std::uint8_t> body) {
+  CS_REQUIRE(!finished_, "append_chunk on a finished TraceWriter");
+  CS_REQUIRE(rank >= 0 && rank < ranks_, "rank outside the placement");
+  CS_REQUIRE(count > 0 && count <= body.size() / kMinEncodedEvent,
+             "append_chunk needs 1 .. body/13 events");
+  flush_chunk();
+  CS_REQUIRE(rank >= pending_rank_, "events must be appended rank-major");
+  pending_rank_ = rank;
+  emit_events(count, body);
+  total_events_ += count;
+}
+
 void TraceWriter::flush_chunk() {
   if (body_events_ == 0) return;
-  std::uint8_t head[3 * kMaxVarintBytes];
-  std::uint8_t* h = put_uvarint(head, chunk_seq_);
-  h = put_uvarint(h, static_cast<std::uint64_t>(pending_rank_));
-  h = put_uvarint(h, body_events_);
-  emit_chunk(kChunkEvents, {head, h}, {body_.data(), body_len_});
-  ++chunk_seq_;
+  emit_events(body_events_, {body_.data(), body_len_});
   body_len_ = 0;
   body_events_ = 0;
   prev_ = {};
+}
+
+void TraceWriter::emit_events(std::uint64_t count, std::span<const std::uint8_t> body) {
+  std::uint8_t head[3 * kMaxVarintBytes];
+  std::uint8_t* h = put_uvarint(head, chunk_seq_);
+  h = put_uvarint(h, static_cast<std::uint64_t>(pending_rank_));
+  h = put_uvarint(h, count);
+  emit_chunk(kChunkEvents, {head, h}, body);
+  ++chunk_seq_;
 }
 
 void TraceWriter::emit_chunk(std::uint8_t kind, std::span<const std::uint8_t> head,
@@ -501,9 +610,6 @@ const std::uint8_t* TraceReader::next_chunk(Rank& rank, std::uint64_t& count) {
 
   count = get_uv(&p, end, "event chunk count");
   if (count == 0) malformed("empty event chunk");
-  if (count > static_cast<std::uint64_t>(end - p) / kMinEncodedEvent) {
-    malformed("event chunk count " + std::to_string(count) + " overruns chunk");
-  }
 
   ++event_chunks_seen_;
   events_read_ += count;
@@ -639,9 +745,7 @@ TraceIndex index_trace_v2(std::istream& in) {
       if (rank < last_rank) malformed("event chunks out of rank order");
       const std::uint64_t count = get_uv(&p, end, "event chunk count");
       if (count == 0) malformed("empty event chunk");
-      if (count > static_cast<std::uint64_t>(end - p) / kMinEncodedEvent) {
-        malformed("event chunk count " + std::to_string(count) + " overruns chunk");
-      }
+      check_event_count(p, end, count);
       idx.chunks.push_back(
           {chunk_offset, len, seq, rank, static_cast<std::uint32_t>(count)});
       idx.rank_events[static_cast<std::size_t>(rank)] += count;
@@ -687,7 +791,7 @@ TraceIndex index_trace_v2_file(const std::string& path) {
 ChunkReader::ChunkReader(std::istream& in, const TraceIndex& index)
     : in_(in), ranks_(index.meta.ranks()) {}
 
-void ChunkReader::read(const ChunkRef& ref, EventBlock& out) {
+std::size_t ChunkReader::load(const ChunkRef& ref) {
   CS_SPAN("trace.read_chunk");
   CS_REQUIRE(ref.rank >= 0 && ref.rank < ranks_, "chunk ref outside the placement");
   in_.clear();
@@ -728,12 +832,22 @@ void ChunkReader::read(const ChunkRef& ref, EventBlock& out) {
   if (seq != ref.seq || rank64 != static_cast<std::uint64_t>(ref.rank) || count != ref.count) {
     malformed("event chunk does not match its index entry");
   }
-  if (count > static_cast<std::uint64_t>(end - p) / kMinEncodedEvent) {
-    malformed("event chunk count " + std::to_string(count) + " overruns chunk");
-  }
+  return static_cast<std::size_t>(p - payload_.data());
+}
+
+void ChunkReader::read(const ChunkRef& ref, EventBlock& out) {
+  const std::size_t head_len = load(ref);
   out.rank = ref.rank;
   out.events.clear();
-  decode_events(p, end, count, out.events);
+  decode_events(payload_.data() + head_len, payload_.end(), ref.count, out.events);
+}
+
+std::span<const std::uint8_t> ChunkReader::splice(const ChunkRef& ref,
+                                                  std::span<const double> local_ts,
+                                                  std::vector<std::uint8_t>& out) {
+  CS_REQUIRE(local_ts.size() == ref.count, "splice needs one timestamp per event of the chunk");
+  const std::size_t head_len = load(ref);
+  return splice_local_ts(payload_, head_len, local_ts, out);
 }
 
 // -- conveniences -------------------------------------------------------------

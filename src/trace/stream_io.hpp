@@ -86,6 +86,14 @@ class TraceWriter {
   TraceWriter& operator=(const TraceWriter&) = delete;
 
   void append(Rank rank, const Event& e);
+  /// Writes `count` already-encoded events of `rank` as one chunk of their
+  /// own, after flushing any events append() left pending.  `body` must be
+  /// what append() would encode for those events in a fresh chunk (the
+  /// per-event layout above, deltas restarting from zero) — as
+  /// splice_local_ts produces it; the writer only frames it, adding the
+  /// chunk head, the chunk CRC and the whole-file CRC.  The chunk head plus
+  /// `body` must stay within the 64 MiB payload limit.
+  void append_chunk(Rank rank, std::uint64_t count, std::span<const std::uint8_t> body);
   void finish();
 
   bool finished() const { return finished_; }
@@ -103,6 +111,7 @@ class TraceWriter {
   };
 
   void flush_chunk();
+  void emit_events(std::uint64_t count, std::span<const std::uint8_t> body);
   void emit_chunk(std::uint8_t kind, std::span<const std::uint8_t> head,
                   std::span<const std::uint8_t> body);
 
@@ -163,6 +172,29 @@ class PayloadBuffer {
   std::vector<std::uint8_t> buf_;
   std::size_t len_ = 0;
 };
+
+/// The splice: rewrites only the local_ts of an encoded event chunk.
+///
+/// The events start `head_len` bytes into `payload` (after the chunk head)
+/// and run to its end; `local_ts` holds one new timestamp per event, so its
+/// size is the chunk's event count.  The result, written to the front of
+/// `out` (grown as needed, never shrunk) and returned as a view into it, is
+/// the chunk's events with each local_ts delta recomputed from the new
+/// values — restarting from zero at the chunk start, as the writer does —
+/// and every byte from true_ts through thread copied unchanged.  For a chunk
+/// TraceWriter wrote, that is exactly what append() would encode for the
+/// decoded events with their local_ts replaced, and append_chunk() writes it
+/// as is.
+///
+/// The input is validated by the same event walker as the decoders: the
+/// same checks in the same order, each failing with the same TraceIoError
+/// kind and message as TraceReader and ChunkReader::read on those bytes.  A
+/// longer delta can grow the chunk; if the head plus the spliced events
+/// would exceed the 64 MiB payload limit, it throws a Malformed
+/// TraceIoError before anything is written.
+std::span<const std::uint8_t> splice_local_ts(const PayloadBuffer& payload, std::size_t head_len,
+                                              std::span<const double> local_ts,
+                                              std::vector<std::uint8_t>& out);
 
 /// Streaming v2 reader: validates the header and meta chunk on construction,
 /// then yields event blocks rank-by-rank via next().  next() returns false
@@ -248,7 +280,18 @@ class ChunkReader {
   /// chunk regardless of how many are visited.
   void read(const ChunkRef& ref, EventBlock& out);
 
+  /// Re-reads and verifies the chunk at `ref` like read(), then splices
+  /// `local_ts` (one value per event) into it with splice_local_ts instead
+  /// of decoding it.  The chunk keeps its head, so the result is ready for
+  /// TraceWriter::append_chunk(ref.rank, ref.count, ...).
+  std::span<const std::uint8_t> splice(const ChunkRef& ref, std::span<const double> local_ts,
+                                       std::vector<std::uint8_t>& out);
+
  private:
+  /// Reads the chunk at `ref` into payload_, verifies its CRC and head
+  /// against `ref`, and returns the head's length.
+  std::size_t load(const ChunkRef& ref);
+
   std::istream& in_;
   int ranks_;
   PayloadBuffer payload_;

@@ -124,6 +124,59 @@ TEST(Crc32c, HardwareMatchesPortable) {
   }
 }
 
+// The SSE4.2 path runs 12,288-byte blocks as three 4096-byte lanes and the
+// rest as one chain.  Every length up to one block plus a tail, lengths
+// around later block multiples and every start alignment must give the
+// portable value, whatever register the call starts from.
+TEST(Crc32c, LanesMatchPortable) {
+  constexpr std::size_t kLane = 4096;
+  constexpr std::size_t kBlock = 3 * kLane;
+  Rng rng(20261020);
+  std::vector<std::uint8_t> buf(8 * kBlock + 64);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+
+  for (std::size_t n = 0; n <= kBlock + 17; ++n) {
+    const std::uint8_t* p = buf.data() + n % 8;
+    const std::uint32_t seed = n % 2 == 0 ? 0u : static_cast<std::uint32_t>(n * 2654435761u);
+    ASSERT_EQ(crc32c(seed, p, n), detail::crc32c_portable(seed, p, n)) << "length " << n;
+  }
+  for (std::size_t blocks = 1; blocks <= 7; ++blocks) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      for (const std::size_t n :
+           {blocks * kBlock - 9, blocks * kBlock - 8, blocks * kBlock - 1, blocks * kBlock,
+            blocks * kBlock + 1, blocks * kBlock + 7, blocks * kBlock + 8,
+            blocks * kBlock + kLane, blocks * kBlock + 2 * kLane + 5}) {
+        const std::uint8_t* p = buf.data() + offset;
+        const std::uint32_t seed = static_cast<std::uint32_t>(n * 40503u + offset);
+        ASSERT_EQ(crc32c(seed, p, n), detail::crc32c_portable(seed, p, n))
+            << "length " << n << " offset " << offset;
+      }
+    }
+  }
+}
+
+TEST(Crc32c, CombineAgreesAcrossLaneBoundaries) {
+  constexpr std::size_t kLane = 4096;
+  constexpr std::size_t kBlock = 3 * kLane;
+  Rng rng(20261021);
+  std::vector<std::uint8_t> buf(4 * kBlock + 100);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  const std::uint8_t* p = buf.data() + 3;  // unaligned
+  const std::size_t n = 4 * kBlock + 33;
+  const std::uint32_t whole = detail::crc32c_portable(0, p, n);
+  ASSERT_EQ(crc32c(0, p, n), whole);
+  // Splits on, next to and between lane and block boundaries: each part
+  // runs its own lanes from its own start.
+  for (const std::size_t at :
+       {std::size_t{1}, kLane - 1, kLane, kLane + 1, 2 * kLane, kBlock - 1, kBlock, kBlock + 1,
+        kBlock + kLane, 2 * kBlock - 7, 2 * kBlock, 3 * kBlock + 2 * kLane, n - kBlock, n - 1}) {
+    const std::uint32_t a = crc32c(0, p, at);
+    const std::uint32_t b = crc32c(0, p + at, n - at);
+    EXPECT_EQ(crc32c_combine(a, b, n - at), whole) << "split at " << at;
+    EXPECT_EQ(crc32c(a, p + at, n - at), whole) << "continued at " << at;
+  }
+}
+
 TEST(Varint, PointerEncoderMatchesVectorEncoder) {
   const std::uint64_t cases[] = {0, 1, 127, 128, 300, 1ull << 35, (1ull << 63) - 1,
                                  std::numeric_limits<std::uint64_t>::max()};

@@ -253,5 +253,36 @@ TEST(IdTable, LargeTablesRoundTrip) {
   EXPECT_EQ(t.insert(gone).first->value, -1);
 }
 
+TEST(IdTable, PrefetchIsHarmless) {
+  // prefetch() is only a cache hint on the home slot: on an empty table (no
+  // array yet), across growth (mapped arrays included) and after erasures
+  // it must neither touch memory the table does not own — the sanitizer
+  // build checks that — nor change what the table holds.
+  Table t;
+  for (const std::int64_t id : {kMin, std::int64_t{0}, kMax}) t.prefetch(id);
+  EXPECT_EQ(t.capacity(), 0u);
+  EXPECT_TRUE(t.empty());
+
+  std::unordered_map<std::int64_t, std::int64_t> want;
+  const std::size_t n = Table::kMapBytes / sizeof(Slot);  // grows past kMapBytes
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto id = static_cast<std::int64_t>(i * 2654435761u) - 12345;
+    t.prefetch(id);
+    t.prefetch(id + 1);  // an id that is never inserted
+    t.insert(id).first->value = static_cast<std::int64_t>(i);
+    want[id] = static_cast<std::int64_t>(i);
+  }
+  ASSERT_GE(t.capacity() * sizeof(Slot), Table::kMapBytes);
+  expect_matches(t, want, "after growth with prefetches");
+
+  t.erase_if([](Slot& s) { return s.value % 2 == 0; });
+  std::erase_if(want, [](const auto& kv) { return kv.second % 2 == 0; });
+  for (std::size_t i = 0; i < n; ++i) {
+    t.prefetch(static_cast<std::int64_t>(i * 2654435761u) - 12345);
+  }
+  for (const std::int64_t id : {kMin, kMax}) t.prefetch(id);
+  expect_matches(t, want, "after erasures with prefetches");
+}
+
 }  // namespace
 }  // namespace chronosync

@@ -1,4 +1,4 @@
-// The CLC keeps forward-pass jumps as a sparse list sorted by global index.
+// The CLC keeps forward-pass jumps as sparse per-rank lists in local order.
 // These tests pin its output, bit for bit, to a dense reference that keeps a
 // jump size for every event, on the shapes where a sparse cursor can slip:
 // jumps on a rank's first and last event, empty ranks, ranks without jumps,
@@ -259,8 +259,8 @@ TEST(ClcJumps, SweepWithCollectivesMatchesReference) {
 
 // One CLC run allocates the result array, the forward values and the
 // backward caps (24 bytes per event), the replay's dependency counters (4
-// more) and the sparse jump list (about 3 at the 4-5% of events that jump
-// after interpolation).  A dense jump array would add another 8.
+// more) and the sparse per-rank jump lists (about 2 at the 4-5% of events
+// that jump after interpolation).  A dense jump array would add another 8.
 TEST(Clc, AllocatesAtMost32BytesPerEvent) {
   // A 16-rank sweep of about 10^5 events with barriers, corrected by linear
   // interpolation first, as in the offline pipeline.

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -318,6 +320,82 @@ TEST(ClcStream, GaugesMirrorTheFinalStats) {
     EXPECT_EQ(gauge("clc.stream.forced"), static_cast<double>(stats.forced));
   }
   obs::set_level(saved);
+  std::remove(in_path.c_str());
+  std::remove(out_path.c_str());
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+/// `t` with its collective events turned into local ones.  Random collective
+/// ids form instances the windowed CLC can only force through (counted in
+/// `forced`); the point-to-point rest it corrects exactly.
+Trace without_collectives(Trace t) {
+  for (Rank r = 0; r < t.ranks(); ++r) {
+    for (Event& e : t.events(r)) {
+      if (e.type != EventType::CollBegin && e.type != EventType::CollEnd) continue;
+      e.type = EventType::Enter;
+      e.coll = CollectiveKind{};
+      e.coll_id = -1;
+      e.root = -1;
+    }
+  }
+  return t;
+}
+
+TEST(ClcStream, OutputKeepsInputChunking) {
+  // The merge splices the corrected timestamps into the input's chunks: the
+  // output always has the input's chunk index, and where the run is exact
+  // its bytes are what write_trace_v2 makes of the in-memory CLC result at
+  // the same chunk size.
+  struct Case {
+    Trace trace;
+    bool exact;
+  };
+  std::vector<Case> cases;
+  for (const std::uint64_t seed : {3, 8, 22}) {
+    cases.push_back({testutil::random_trace(seed), false});
+    cases.push_back({without_collectives(testutil::random_trace(seed)), true});
+  }
+  cases.push_back({sweep_fixture(4, 12), true});
+  const std::string in_path = testing::TempDir() + "/cs_clcstream_chunks_in.cstr";
+  const std::string out_path = testing::TempDir() + "/cs_clcstream_chunks_out.cstr";
+  StreamClcOptions opt;
+  opt.backward_window = 1e3;  // no clamping: the in-memory result is exact
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const Trace& trace = cases[k].trace;
+    Trace corrected = trace;
+    if (cases[k].exact) {
+      const ClcResult mem = in_memory_clc(trace, opt.clc);
+      for (Rank r = 0; r < trace.ranks(); ++r) {
+        const auto& lc = mem.corrected.of_rank(r);
+        for (std::size_t i = 0; i < lc.size(); ++i) corrected.events(r)[i].local_ts = lc[i];
+      }
+    }
+    for (const std::size_t epc : {std::size_t{1}, std::size_t{5}, std::size_t{64},
+                                  kDefaultEventsPerChunk}) {
+      SCOPED_TRACE("case " + std::to_string(k) + " events_per_chunk " + std::to_string(epc));
+      write_trace_v2_file(trace, in_path, epc);
+      const StreamClcStats stats = clc_stream_file(in_path, out_path, opt);
+
+      const TraceIndex in_index = index_trace_v2_file(in_path);
+      const TraceIndex out_index = index_trace_v2_file(out_path);
+      ASSERT_EQ(out_index.chunks.size(), in_index.chunks.size());
+      for (std::size_t c = 0; c < in_index.chunks.size(); ++c) {
+        EXPECT_EQ(out_index.chunks[c].rank, in_index.chunks[c].rank) << "chunk " << c;
+        EXPECT_EQ(out_index.chunks[c].count, in_index.chunks[c].count) << "chunk " << c;
+        EXPECT_EQ(out_index.chunks[c].seq, in_index.chunks[c].seq) << "chunk " << c;
+      }
+      if (!cases[k].exact) continue;
+
+      ASSERT_EQ(stats.ramp_clamped + stats.horizon_dropped + stats.forced, 0u);
+      std::stringstream want;
+      write_trace_v2(corrected, want, epc);
+      EXPECT_TRUE(file_bytes(out_path) == want.str()) << "output bytes differ";
+    }
+  }
   std::remove(in_path.c_str());
   std::remove(out_path.c_str());
 }

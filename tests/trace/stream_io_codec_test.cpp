@@ -4,19 +4,24 @@
 // encoder must stay byte-identical.  StreamIoDecoder hand-encodes event
 // chunks and recomputes every CRC (chunk and whole-file), so each mutation
 // gets past the checksums and reaches the event decoder's own rejection
-// branches, which the CRC-guarded fuzz corpus never does.
+// branches, which the CRC-guarded fuzz corpus never does; every case also
+// runs through the timestamp splice, which must reject it identically.
+// StreamIoSplice checks that spliced chunks are what the writer encodes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "../testutil/random_trace.hpp"
 #include "common/crc32c.hpp"
+#include "common/rng.hpp"
 #include "common/varint.hpp"
 #include "trace/stream_io.hpp"
 
@@ -216,17 +221,47 @@ void expect_malformed_via_reader(const std::string& file, const std::string& wha
   }
 }
 
-void expect_malformed_via_index(const std::string& file, const std::string& what,
-                                const std::string& reason) {
+/// Indexes `file` and visits every event chunk with ChunkReader: decodes it
+/// with read(), or, with `splice`, splices fresh timestamps into it.
+/// Returns the error that stopped the walk, if any.
+std::optional<TraceIoError> visit_via_index(const std::string& file, bool splice) {
   std::istringstream in(file);
   try {
     const TraceIndex idx = index_trace_v2(in);
     ChunkReader chunks(in, idx);
     EventBlock block;
-    for (const ChunkRef& ref : idx.chunks) chunks.read(ref, block);
-    ADD_FAILURE() << what << ": index_trace_v2 + ChunkReader accepted the file";
+    std::vector<double> ts;
+    std::vector<std::uint8_t> spliced;
+    for (const ChunkRef& ref : idx.chunks) {
+      if (splice) {
+        ts.assign(ref.count, -2.5);
+        chunks.splice(ref, ts, spliced);
+      } else {
+        chunks.read(ref, block);
+      }
+    }
   } catch (const TraceIoError& e) {
-    check_error(e, what, reason);
+    return e;
+  }
+  return std::nullopt;
+}
+
+/// Both ChunkReader paths reject the file, the splice with exactly the
+/// kind and message of the decoder.
+void expect_malformed_via_index(const std::string& file, const std::string& what,
+                                const std::string& reason) {
+  const std::optional<TraceIoError> read = visit_via_index(file, /*splice=*/false);
+  const std::optional<TraceIoError> splice = visit_via_index(file, /*splice=*/true);
+  if (!read) {
+    ADD_FAILURE() << what << ": index_trace_v2 + ChunkReader::read accepted the file";
+  } else {
+    check_error(*read, what, reason);
+  }
+  if (!splice) {
+    ADD_FAILURE() << what << ": index_trace_v2 + ChunkReader::splice accepted the file";
+  } else if (read) {
+    EXPECT_EQ(splice->kind(), read->kind()) << what;
+    EXPECT_STREQ(splice->what(), read->what()) << what;
   }
 }
 
@@ -248,6 +283,84 @@ void expect_field_rejected(Field f, const Bytes& bad, const std::string& what,
 constexpr Field kVarintFields[] = {kLocal, kTrue, kRegion, kPeer, kTag, kBytes,
                                    kMsg,   kCollId, kRoot, kOmp,  kThread};
 constexpr Field kSv32Fields[] = {kRegion, kPeer, kTag, kRoot, kOmp, kThread};
+
+// -- splice --------------------------------------------------------------------
+
+/// `t` with every local timestamp replaced by an unrelated value, extremes
+/// and jumps of either sign included, so the new deltas differ in length
+/// from the old ones.
+Trace with_new_local_ts(const Trace& t, std::uint64_t seed) {
+  Trace out = t;
+  Rng rng(seed);
+  for (Rank r = 0; r < out.ranks(); ++r) {
+    for (Event& e : out.events(r)) {
+      switch (rng.uniform_int(0, 3)) {
+        case 0: e.local_ts += 1e-9; break;
+        case 1: e.local_ts = rng.uniform(-1e6, 1e6); break;
+        case 2: e.local_ts = rng.bernoulli(0.5) ? -0.0 : 1.7976931348623157e308; break;
+        default: break;
+      }
+    }
+  }
+  return out;
+}
+
+/// Writes `t` spliced chunk by chunk: the output of `index`ed input `in`
+/// with each chunk's local_ts taken from `t`.
+std::string splice_all(std::istream& in, const TraceIndex& index, const Trace& t) {
+  std::stringstream out;
+  TraceWriter writer(out, TraceMeta::of(t));
+  ChunkReader chunks(in, index);
+  std::vector<std::size_t> next(static_cast<std::size_t>(t.ranks()), 0);
+  std::vector<double> ts;
+  std::vector<std::uint8_t> spliced;
+  for (const ChunkRef& ref : index.chunks) {
+    ts.clear();
+    std::size_t& i = next[static_cast<std::size_t>(ref.rank)];
+    for (std::uint32_t k = 0; k < ref.count; ++k) ts.push_back(t.events(ref.rank)[i++].local_ts);
+    writer.append_chunk(ref.rank, ref.count, chunks.splice(ref, ts, spliced));
+  }
+  writer.finish();
+  return out.str();
+}
+
+TEST(StreamIoSplice, EqualsTheWriterEncoding) {
+  for (const std::uint64_t seed : {kGoldenSeed, kGoldenExtremeSeed, std::uint64_t{5}}) {
+    const Trace t = testutil::random_trace(seed, /*extreme_doubles=*/seed == kGoldenExtremeSeed);
+    const Trace moved = with_new_local_ts(t, seed + 100);
+    for (const std::size_t epc : {std::size_t{1}, std::size_t{5}, std::size_t{16},
+                                  kDefaultEventsPerChunk}) {
+      std::stringstream in;
+      write_trace_v2(t, in, epc);
+      const TraceIndex index = index_trace_v2(in);
+      std::stringstream want;
+      write_trace_v2(moved, want, epc);
+      EXPECT_EQ(splice_all(in, index, moved), want.str())
+          << "seed " << seed << " events_per_chunk " << epc;
+    }
+  }
+}
+
+TEST(StreamIoSplice, HandEncodedEventsKeepEveryOtherByte) {
+  // A non-canonical (overlong) varint in a copied field survives as is:
+  // the splice rewrites the local_ts delta and nothing else.
+  RawEvent odd = valid_event(/*wide=*/true);
+  odd.field[kTag] = {0x8A, 0x80, 0x80, 0x00};  // 5, in four bytes
+  const Bytes events = concat({valid_event(), odd});
+  std::istringstream in(file_with_event_chunk(2, events));
+  const TraceIndex index = index_trace_v2(in);
+  ChunkReader chunks(in, index);
+  const std::vector<double> ts = {3.0, -3.0};
+  std::vector<std::uint8_t> buf;
+  const std::span<const std::uint8_t> got = chunks.splice(index.chunks.at(0), ts, buf);
+
+  RawEvent first = valid_event();
+  first.field[kLocal] = sv(static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(3.0)));
+  odd.field[kLocal] = sv(static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(-3.0) -
+                                                   std::bit_cast<std::uint64_t>(3.0)));
+  const Bytes want = concat({first, odd});
+  EXPECT_EQ(Bytes(got.begin(), got.end()), want);
+}
 
 TEST(StreamIoDecoder, HandEncodedFileIsAccepted) {
   // Guards the helper: without a mutation every path decodes both events.

@@ -5,15 +5,19 @@
 // typed TraceIoError (v2: every mutation is detectable thanks to the chunk
 // and file checksums) or, for the unchecksummed v1/text formats, either parse
 // successfully or throw TraceIoError.  No mutation may crash, abort, or throw
-// anything else; the suite is also run under ASan/UBSan in CI.
+// anything else; the suite is also run under ASan/UBSan in CI.  One
+// differential reseals its mutations (recomputes every CRC) so they reach the
+// event decoder, and holds the timestamp splice to the decoder's verdicts.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "../testutil/random_trace.hpp"
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "trace/otf_text.hpp"
 #include "trace/stream_io.hpp"
@@ -271,6 +275,97 @@ TEST(TraceFuzz, GarbageAppendedToValidBlob) {
     expect_no_crash(feed_v1, c.v1 + tail, "v1 with trailing garbage");
     expect_no_crash(feed_text, c.text + tail, "text with trailing garbage");
   }
+}
+
+/// Recomputes every chunk CRC and the footer's whole-file CRC of a blob whose
+/// chunk framing is intact, so mutated payload bytes get past the checksums
+/// and reach the parsers.
+std::string reseal(std::string blob) {
+  for (const ChunkSpan& s : chunk_spans(blob)) {
+    if (s.kind == 'Z' && s.size >= 1 + 4 + 4 + 4) {
+      const std::uint32_t file_crc = crc32c(0, blob.data(), s.off);
+      std::memcpy(blob.data() + s.off + s.size - 8, &file_crc, 4);
+    }
+    const std::uint32_t crc = crc32c(0, blob.data() + s.off, s.size - 4);
+    std::memcpy(blob.data() + s.off + s.size - 4, &crc, 4);
+  }
+  return blob;
+}
+
+/// Visits every chunk of the indexed `blob` with ChunkReader::read or, with
+/// `splice`, ChunkReader::splice; returns the what() of the error that
+/// stopped it, or nothing when every chunk was accepted.
+std::optional<std::string> visit_chunks(const std::string& blob, const TraceIndex& index,
+                                        bool splice) {
+  std::istringstream in(blob);
+  ChunkReader chunks(in, index);
+  EventBlock block;
+  std::vector<double> ts;
+  std::vector<std::uint8_t> spliced;
+  try {
+    for (const ChunkRef& ref : index.chunks) {
+      if (splice) {
+        ts.assign(ref.count, 1e300);
+        chunks.splice(ref, ts, spliced);
+      } else {
+        chunks.read(ref, block);
+      }
+    }
+  } catch (const TraceIoError& e) {
+    return std::string(e.what());
+  }
+  return std::nullopt;
+}
+
+TEST(TraceFuzz, SpliceAgreesWithDecoderOnResealedMutations) {
+  // Mutations inside event payloads, resealed so that index_trace_v2 accepts
+  // the blob: the decoder and the timestamp splice must then both accept it
+  // or both throw the same error.
+  std::size_t indexed = 0;
+  std::size_t rejected = 0;
+  for (std::uint64_t seed : kSeeds) {
+    const Corpus c = make_corpus(seed, seed % 2 == 0);
+    Rng rng(seed * 31337 + 5);
+    for (const ChunkSpan& s : chunk_spans(c.v2)) {
+      if (s.kind != 'E') continue;
+      const std::size_t payload = s.off + 5;
+      const std::size_t len = s.size - 9;
+      for (int i = 0; i < 40; ++i) {
+        std::string m = c.v2;
+        const std::size_t at =
+            payload + static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(len) - 1));
+        const auto byte = static_cast<char>(rng.uniform_int(0, 255));
+        std::uint32_t new_len = static_cast<std::uint32_t>(len);
+        switch (i % 5) {
+          case 0: m[at] = static_cast<char>(m[at] ^ (1 << rng.uniform_int(0, 7))); break;
+          case 1: m[at] = byte; break;
+          case 2: m[at] = static_cast<char>(0x80); break;  // lengthens a varint
+          case 3: m.erase(at, 1); --new_len; break;
+          default: m.insert(at, 1, byte); ++new_len; break;
+        }
+        std::memcpy(m.data() + s.off + 1, &new_len, 4);
+        m = reseal(std::move(m));
+        const std::string context = "seed " + std::to_string(seed) + " chunk at " +
+                                    std::to_string(s.off) + " mutation " + std::to_string(i) +
+                                    " at " + std::to_string(at);
+        TraceIndex index;
+        try {
+          std::istringstream in(m);
+          index = index_trace_v2(in);
+        } catch (const TraceIoError&) {
+          continue;  // the head or the footer caught it: no chunk to compare
+        }
+        ++indexed;
+        const std::optional<std::string> read = visit_chunks(m, index, /*splice=*/false);
+        const std::optional<std::string> splice = visit_chunks(m, index, /*splice=*/true);
+        EXPECT_EQ(read, splice) << context;
+        if (read) ++rejected;
+      }
+    }
+  }
+  EXPECT_GT(indexed, 500u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_LT(rejected, indexed) << "no mutation left a decodable chunk";
 }
 
 }  // namespace
